@@ -97,14 +97,15 @@ void fail(Violation v) {
     std::fprintf(stderr, "%s\n", msg.c_str());
     std::abort();
   }
-  // Throw mode. An exception escaping a parallel_for worker thread would
-  // std::terminate, and one escaping the calling thread's chunk would
-  // unwind state the workers still reference — so in-region detections
-  // are deferred to the next serial checkpoint. DeliverInParallel is the
+  // Throw mode. parallel_for does carry a chunk's exception to its caller,
+  // but the throwing chunk abandons the rest of its block while the other
+  // blocks run on — so in-region detections are deferred to the next
+  // serial checkpoint, where the violation surfaces before the delivery it
+  // poisoned, in every thread configuration. DeliverInParallel is the
   // exception: the violating thread is about to mutate every outbox, so
   // letting it proceed to "defer" would be the race itself; throwing here
-  // stops the phase change (worst case, an undetached worker terminates
-  // the process — still strictly better than silent corruption).
+  // stops the phase change, and parallel_for rethrows it on its caller
+  // once every block has finished.
   if (in_parallel_region() && kind != ContractKind::DeliverInParallel) {
     {
       const std::lock_guard<std::mutex> lock(g_pending_mu);

@@ -3,11 +3,12 @@
 //
 // The congested clique model charges only for communication; each node's
 // local work between supersteps is unbounded and embarrassingly parallel
-// across the n simulated nodes. parallel_for runs those per-node loops on a
-// small worker group (std::thread, block-partitioned indices). Callers must
-// keep network mutation (send/deliver) OUT of the parallel region: Network
-// staging is single-threaded by design, while const reads of delivered
-// inboxes are safe from any thread.
+// across the n simulated nodes. parallel_for runs those per-node loops over
+// block-partitioned indices on a persistent pool of parallel_workers() - 1
+// threads plus the calling thread; the pool starts on the first
+// multi-worker call. Callers must keep network mutation (send/deliver) OUT
+// of the parallel region: Network staging is single-threaded by design,
+// while const reads of delivered inboxes are safe from any thread.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,9 @@ namespace cca {
 [[nodiscard]] std::uint64_t parallel_region_epoch() noexcept;
 
 /// Small dense identifier of the calling thread (assigned on first use
-/// from a global counter; stable for the thread's lifetime). Cheaper and
-/// more report-friendly than hashing std::thread::id, and usable as a
-/// token in the analysis layer's per-source ownership slots.
+/// from a global counter; stable for the thread's lifetime; below 2^20).
+/// Cheaper and more report-friendly than hashing std::thread::id, and
+/// usable as a token in the analysis layer's per-source ownership slots.
 [[nodiscard]] std::uint32_t thread_token() noexcept;
 
 namespace detail {
@@ -52,7 +53,10 @@ void parallel_for_impl(int begin, int end,
 
 /// Run fn(i) for every i in [begin, end), partitioned over the workers.
 /// Falls back to a serial loop for single-worker configurations or trivial
-/// ranges. fn must be safe to invoke concurrently for distinct indices.
+/// ranges, for calls nested inside a chunk, and for a second thread calling
+/// while another call holds the pool. fn must be safe to invoke
+/// concurrently for distinct indices. If fn throws, the first exception is
+/// rethrown on the caller once every block has finished.
 template <typename Fn>
 void parallel_for(int begin, int end, Fn&& fn) {
   detail::parallel_for_impl(begin, end, [&fn](int b, int e) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -94,9 +95,8 @@ struct Edge {
   std::int64_t count;
 };
 
-/// One node of the split recursion handed to a worker: a concrete
-/// half-multigraph (general counted edges or the packed all-count-1 form)
-/// at its recursion depth.
+/// One node of the split recursion: a concrete half-multigraph (general
+/// counted edges or the packed all-count-1 form) at its recursion depth.
 struct SplitTask {
   std::vector<Edge> edges;                 ///< general node (when !packed)
   std::vector<std::uint32_t> packed_edges; ///< packed node (when packed)
@@ -104,20 +104,11 @@ struct SplitTask {
   int depth = 0;
 };
 
-/// One slot of the expanded frontier, in DFS order. A concrete slot names a
-/// task; a dup slot replays the merged log produced by slots
-/// [dup_begin, this) — the frontier-level form of the identical-halves
-/// subtree duplication.
-struct SplitSlot {
-  int task = -1;
-  std::size_t dup_begin = 0;
-  bool dup = false;
-};
-
 /// The split recursion machinery with its scratch and class log. One engine
-/// per task (and one for the serial path / the frontier expansion): the
-/// scratch fully resets between recursion nodes, so engines running disjoint
-/// subtrees emit exactly the class sequences the serial recursion would.
+/// per task (the serial path is one task) and per frontier node of an
+/// expansion level: the scratch fully resets between recursion nodes, so
+/// any engine splits any node, and engines running disjoint subtrees emit
+/// exactly the class sequences the serial recursion would.
 ///
 /// Observations that keep the schedule exactly as specified while avoiding
 /// the naive implementation's Theta(classes * n) blowup:
@@ -156,22 +147,22 @@ class SplitEngine {
     log_bounds_.clear();
   }
 
-  [[nodiscard]] const std::vector<std::uint32_t>& log_edges() const noexcept {
-    return log_edges_;
+  /// Colour classes logged since reset_log().
+  [[nodiscard]] std::size_t classes() const noexcept {
+    return log_bounds_.size();
   }
-  [[nodiscard]] const std::vector<std::size_t>& log_bounds() const noexcept {
-    return log_bounds_;
+
+  /// The packed (src << 16) | dst edges of logged class `c`.
+  [[nodiscard]] std::span<const std::uint32_t> class_edges(
+      std::size_t c) const noexcept {
+    const std::size_t end =
+        c + 1 < log_bounds_.size() ? log_bounds_[c + 1] : log_edges_.size();
+    return {log_edges_.data() + log_bounds_[c], end - log_bounds_[c]};
   }
 
   [[nodiscard]] static std::uint32_t pack(int src, int dst) noexcept {
     return (static_cast<std::uint32_t>(src) << 16) |
            static_cast<std::uint32_t>(dst);
-  }
-
-  [[nodiscard]] std::vector<Edge> copy_of(const std::vector<Edge>& edges) {
-    auto v = acquire();
-    v.assign(edges.begin(), edges.end());
-    return v;
   }
 
   /// Run one task's whole subtree into this engine's log.
@@ -182,55 +173,65 @@ class SplitEngine {
       split_walk(std::move(task.edges), task.depth);
   }
 
-  /// Serially reproduce the TOP of the split recursion down to at most
-  /// `max_depth` levels, emitting the still-unsplit subtrees as concrete
-  /// tasks (owned edge lists) and identical-halves duplications as dup
-  /// slots — both in the recursion's DFS order, so running the tasks and
-  /// concatenating their logs (dup slots replaying the just-merged range)
-  /// reproduces the serial class log bit for bit.
-  void expand(std::vector<Edge> edges, int depth, int max_depth,
-              std::vector<SplitTask>& tasks, std::vector<SplitSlot>& slots) {
-    if (edges.empty()) {
-      release(std::move(edges));
-      return;
-    }
-    if (depth >= max_depth || depth > 64) {
-      emit_task(std::move(edges), depth, tasks, slots);
-      return;
-    }
-    if (max_degree(edges) <= 1) {
-      emit_task(std::move(edges), depth, tasks, slots);
-      return;
-    }
-    auto lo = acquire();
-    auto hi = acquire();
-    const bool identical = euler_split(edges, lo, hi);
-    const bool simple_children = max_half_ <= 1;
-    release(std::move(edges));
-    auto descend = [&](std::vector<Edge>&& child) {
-      if (simple_children) {
-        auto p = acquire_packed();
-        p.reserve(child.size());
-        for (const auto& e : child) p.push_back(pack(e.src, e.dst));
-        release(std::move(child));
-        expand_packed(std::move(p), depth + 1, max_depth, tasks, slots);
-      } else {
-        expand(std::move(child), depth + 1, max_depth, tasks, slots);
+  /// Free the per-word split scratch, keeping the class log: a finished
+  /// task's engine lives on until its log is replayed, so without this the
+  /// colouring would hold one task's worth of scratch per task, not per
+  /// worker.
+  void drop_scratch() {
+    slots_ = {};
+    odd_pack_ = {};
+    touched_ = {};
+    pool_ = {};
+    packed_pool_ = {};
+  }
+
+  /// Perform the one split the serial recursion makes at node `task`.
+  /// Returns 0 when the node is a leaf of the recursion (max degree <= 1;
+  /// `task` is left intact), 1 for an identical-halves collapse (`lo` is
+  /// the single child the recursion descends, then replays), and 2 for a
+  /// real split into `lo` and `hi`. A split consumes `task`.
+  int split_once(SplitTask& task, SplitTask& lo, SplitTask& hi) {
+    const int depth = task.depth + 1;
+    if (task.packed) {
+      build_slots(task.packed_edges);
+      if (node_deg_ <= 1) {
+        unbuild_slots();
+        return 0;
       }
-    };
-    if (!identical) {
-      descend(std::move(lo));
-      descend(std::move(hi));
-      return;
+      lo = {{}, acquire_packed(), true, depth};
+      hi = {{}, acquire_packed(), true, depth};
+      trail_split_packed(task.packed_edges, lo.packed_edges, hi.packed_edges);
+      release_packed(std::move(task.packed_edges));
+      return 2;
     }
-    release(std::move(hi));
-    const std::size_t mark_slot = slots.size();
-    descend(std::move(lo));
-    if (slots.size() > mark_slot)
-      slots.push_back({-1, mark_slot, true});
+    if (task.edges.empty() || max_degree(task.edges) <= 1) return 0;
+    auto a = acquire();
+    auto b = acquire();
+    const bool identical = euler_split(task.edges, a, b);
+    release(std::move(task.edges));
+    lo = child(std::move(a), depth);
+    if (identical) {
+      release(std::move(b));
+      return 1;
+    }
+    hi = child(std::move(b), depth);
+    return 2;
   }
 
  private:
+  /// A child of the split just made, in the form the recursion descends it:
+  /// every child entry is either a halved count (<= max_half_) or an odd
+  /// leftover (count 1), so once max_half_ <= 1 the child lives entirely in
+  /// the all-count-1 regime and takes the packed fast path.
+  [[nodiscard]] SplitTask child(std::vector<Edge>&& edges, int depth) {
+    if (max_half_ > 1) return {std::move(edges), {}, false, depth};
+    auto p = acquire_packed();
+    p.reserve(edges.size());
+    for (const auto& e : edges) p.push_back(pack(e.src, e.dst));
+    release(std::move(edges));
+    return {{}, std::move(p), true, depth};
+  }
+
   /// Pool-backed copy/acquire of edge scratch vectors: the recursion reuses
   /// vectors instead of allocating one pair per node.
   [[nodiscard]] std::vector<Edge> acquire() {
@@ -250,43 +251,6 @@ class SplitEngine {
   }
   void release_packed(std::vector<std::uint32_t>&& v) {
     packed_pool_.push_back(std::move(v));
-  }
-
-  void emit_task(std::vector<Edge>&& edges, int depth,
-                 std::vector<SplitTask>& tasks, std::vector<SplitSlot>& slots) {
-    slots.push_back({static_cast<int>(tasks.size()), 0, false});
-    tasks.push_back({std::move(edges), {}, false, depth});
-  }
-  void emit_task_packed(std::vector<std::uint32_t>&& es, int depth,
-                        std::vector<SplitTask>& tasks,
-                        std::vector<SplitSlot>& slots) {
-    slots.push_back({static_cast<int>(tasks.size()), 0, false});
-    tasks.push_back({{}, std::move(es), true, depth});
-  }
-
-  void expand_packed(std::vector<std::uint32_t> es, int depth, int max_depth,
-                     std::vector<SplitTask>& tasks,
-                     std::vector<SplitSlot>& slots) {
-    if (es.empty()) {
-      release_packed(std::move(es));
-      return;
-    }
-    if (depth >= max_depth || depth > 64) {
-      emit_task_packed(std::move(es), depth, tasks, slots);
-      return;
-    }
-    build_slots(es);
-    if (node_deg_ <= 1) {
-      unbuild_slots();
-      emit_task_packed(std::move(es), depth, tasks, slots);
-      return;
-    }
-    auto lo = acquire_packed();
-    auto hi = acquire_packed();
-    trail_split_packed(es, lo, hi);
-    release_packed(std::move(es));
-    expand_packed(std::move(lo), depth + 1, max_depth, tasks, slots);
-    expand_packed(std::move(hi), depth + 1, max_depth, tasks, slots);
   }
 
   /// One edge occurrence in a vertex's adjacency list: slot 2i is the src
@@ -600,25 +564,14 @@ class SplitEngine {
     auto lo = acquire();
     auto hi = acquire();
     const bool identical = euler_split(edges, lo, hi);
-    // Every child entry is either a halved count (<= max_half_) or an odd
-    // leftover (count 1): once max_half_ <= 1, the children live entirely
-    // in the all-count-1 regime and descend through the packed fast path.
-    const bool simple_children = max_half_ <= 1;
     release(std::move(edges));
-    auto descend = [&](std::vector<Edge>&& child) {
-      if (simple_children) {
-        auto p = acquire_packed();
-        p.reserve(child.size());
-        for (const auto& e : child) p.push_back(pack(e.src, e.dst));
-        release(std::move(child));
-        split_walk_packed(std::move(p), depth + 1);
-      } else {
-        split_walk(std::move(child), depth + 1);
-      }
-    };
+    // Both children take their form before either descends: child() reads
+    // the max_half_ of THIS split, which the descent overwrites.
+    auto lo_task = child(std::move(lo), depth + 1);
     if (!identical) {
-      descend(std::move(lo));
-      descend(std::move(hi));
+      auto hi_task = child(std::move(hi), depth + 1);
+      run(std::move(lo_task));
+      run(std::move(hi_task));
       return;
     }
     release(std::move(hi));
@@ -626,7 +579,7 @@ class SplitEngine {
     // and duplicate the logged class range in place of the second descent.
     const std::size_t mark_b = log_bounds_.size();
     const std::size_t mark_e = log_edges_.size();
-    descend(std::move(lo));
+    run(std::move(lo_task));
     const std::size_t end_b = log_bounds_.size();
     const std::size_t end_e = log_edges_.size();
     const std::size_t delta = end_e - mark_e;
@@ -670,16 +623,17 @@ class SplitEngine {
 };
 
 /// Default Euler-split task count: serial when the worker group is one
-/// thread (the CCA_THREADS=1 CI leg runs the pure-serial recursion), a few
-/// tasks per worker otherwise so the block partition stays balanced even
-/// when subtree sizes skew.
+/// thread (the CCA_THREADS=1 CI leg runs the pure-serial recursion), two
+/// concrete tasks per worker otherwise so the block partition stays
+/// balanced when subtree sizes skew.
 int default_split_tasks() {
   const int workers = parallel_workers();
   if (workers <= 1) return 1;
   return std::min(64, 2 * workers);
 }
 
-/// Smallest expansion depth whose full frontier holds >= `tasks` subtrees.
+/// Smallest number of real (non-collapsing) splits whose full frontier
+/// holds >= `tasks` subtrees.
 int expansion_depth_for(int tasks) {
   int depth = 0;
   int width = 1;
@@ -690,144 +644,226 @@ int expansion_depth_for(int tasks) {
   return depth;
 }
 
-/// Drives the split (serial or task-parallel), merges the per-task class
-/// logs in DFS order, and replays the merged log onto the load matrices.
-/// Colour classes are produced in leaf (DFS) order; consecutive classes
-/// share split ancestry and hence have near-disjoint edge sets, so
-/// contiguous BLOCKS of classes are assigned to the same intermediate:
-/// class t of C goes through node floor(t*n/C). The total class count is
-/// needed before any class can be assigned, so the split logs the class
-/// sequence and the load assignment replays the log once the count is
-/// known.
+/// Drives the split (serial or task-parallel) and replays the per-task
+/// class logs onto the load matrices in DFS order. Colour classes are
+/// produced in leaf (DFS) order; consecutive classes share split ancestry
+/// and hence have near-disjoint edge sets, so contiguous BLOCKS of classes
+/// are assigned to the same intermediate: class t of C goes through node
+/// floor(t*n/C). The total class count is needed before any class can be
+/// assigned, so the split logs the class sequence and the load assignment
+/// replays the logs once the count is known.
 ///
 /// Both load matrices are intermediate-major (load_a[mid][src],
 /// load_b[mid][dst]). All edges of one class share one mid, so a class
 /// replay touches exactly two rows — resident in L1 — instead of striding
-/// across the whole n^2 arrays per edge. The load MULTISET is unchanged,
-/// hence so are the maxima and the round total.
+/// across the whole n^2 arrays per edge, and replays of distinct mids write
+/// disjoint rows. The load MULTISET is unchanged, hence so are the maxima
+/// and the round total.
 class KoenigColouring {
  public:
-  KoenigColouring(int n, std::vector<std::int64_t>& load_a,
-                  std::vector<std::int64_t>& load_b)
-      : n_(n), load_a_(load_a), load_b_(load_b), root_(n) {}
+  /// Colour `edges`. The serial path (split_tasks <= 1) is one task: one
+  /// engine walks the whole recursion, producing the reference sequence
+  /// every parallel run must reproduce. Otherwise the top of the recursion
+  /// is expanded into independent subtree tasks. Every task runs on its own
+  /// engine under parallel_for, and the load matrices are replayed from the
+  /// task logs, parallel over intermediates. Each engine's scratch starts
+  /// clean and the expansion performs the exact splits the serial recursion
+  /// would, so the class sequence is bit-identical to the serial one for
+  /// ANY task count (pinned by tests/test_routing.cpp).
+  KoenigColouring(int n, std::vector<Edge> edges, int split_tasks)
+      : n_(n),
+        load_a_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
+        load_b_(load_a_.size()),
+        tree_(1) {
+    std::vector<SplitTask> tasks;
+    if (split_tasks > 1) {
+      tasks = expand(std::move(edges), expansion_depth_for(split_tasks));
+    } else {
+      tree_[0].task = 0;
+      tasks.push_back({std::move(edges), {}, false, 0});
+    }
+    tasks_ = static_cast<int>(tasks.size());
+    grow_engines(tasks.size());
+    parallel_for(0, tasks_, [&](int t) {
+      auto& task = tasks[static_cast<std::size_t>(t)];
+      std::int64_t words = 0;
+      if (task.packed)
+        words = static_cast<std::int64_t>(task.packed_edges.size());
+      else
+        for (const auto& e : task.edges) words += e.count;
+      auto& eng = engines_[static_cast<std::size_t>(t)];
+      eng.reset_log(words);
+      eng.run(std::move(task));
+      eng.drop_scratch();
+    });
+    lay_out(0);
+    if (total_colours_ > 0) parallel_for(0, n_, [&](int mid) { replay(mid); });
+  }
 
   [[nodiscard]] std::int64_t total_colours() const noexcept {
     return total_colours_;
   }
 
-  /// The merged class log (valid after colour()): class t covers packed
-  /// edges [bounds()[t], bounds()[t+1]) of edges().
-  [[nodiscard]] const std::vector<std::uint32_t>& edges() const noexcept {
-    return *edges_view_;
+  /// Concrete subtree tasks the colouring ran (1 on the serial path).
+  [[nodiscard]] int tasks() const noexcept { return tasks_; }
+
+  /// Relay rounds of the replayed plan: max phase-A link load plus max
+  /// phase-B link load.
+  [[nodiscard]] std::int64_t rounds() const {
+    return *std::max_element(load_a_.begin(), load_a_.end()) +
+           *std::max_element(load_b_.begin(), load_b_.end());
   }
-  [[nodiscard]] const std::vector<std::size_t>& bounds() const noexcept {
-    return *bounds_view_;
-  }
 
-  void colour(const std::vector<Edge>& edges, int split_tasks) {
-    std::int64_t total_words = 0;
-    for (const auto& e : edges) total_words += e.count;
-
-    if (split_tasks <= 1) {
-      // Pure serial path: one engine walks the whole recursion. This is
-      // the reference sequence every parallel run must reproduce.
-      root_.reset_log(total_words);
-      root_.run({root_.copy_of(edges), {}, false, 0});
-      edges_view_ = &root_.log_edges();
-      bounds_view_ = &root_.log_bounds();
-    } else {
-      // Expand the top of the recursion serially into independent subtree
-      // tasks (plus dup slots for identical-halves collapses), run every
-      // concrete task on its own engine under parallel_for, and merge the
-      // logs in DFS slot order. Each engine's scratch starts clean and the
-      // expansion performs the exact splits the serial recursion would, so
-      // the merged log is bit-identical to the serial one for ANY task
-      // count (pinned by tests/test_routing.cpp).
-      std::vector<SplitTask> tasks;
-      std::vector<SplitSlot> slots;
-      root_.expand(root_.copy_of(edges), 0, expansion_depth_for(split_tasks),
-                   tasks, slots);
-      std::vector<SplitEngine> engines;
-      engines.reserve(tasks.size());
-      for (std::size_t t = 0; t < tasks.size(); ++t) engines.emplace_back(n_);
-      parallel_for(0, static_cast<int>(tasks.size()), [&](int t) {
-        const auto ts = static_cast<std::size_t>(t);
-        std::int64_t words = 0;
-        if (tasks[ts].packed)
-          words = static_cast<std::int64_t>(tasks[ts].packed_edges.size());
-        else
-          for (const auto& e : tasks[ts].edges) words += e.count;
-        engines[ts].reset_log(words);
-        engines[ts].run(std::move(tasks[ts]));
-      });
-
-      merged_edges_.clear();
-      merged_edges_.reserve(static_cast<std::size_t>(total_words));
-      merged_bounds_.clear();
-      std::vector<std::size_t> slot_b(slots.size()), slot_e(slots.size());
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        slot_b[i] = merged_bounds_.size();
-        slot_e[i] = merged_edges_.size();
-        if (!slots[i].dup) {
-          const auto& eng = engines[static_cast<std::size_t>(slots[i].task)];
-          const std::size_t base = merged_edges_.size();
-          for (const auto b : eng.log_bounds())
-            merged_bounds_.push_back(b + base);
-          merged_edges_.insert(merged_edges_.end(), eng.log_edges().begin(),
-                               eng.log_edges().end());
-        } else {
-          // Replay the merged output of the duplicated sibling subtree —
-          // the same arithmetic as the serial identical-halves collapse,
-          // applied to the merged ranges.
-          const std::size_t mb = slot_b[slots[i].dup_begin];
-          const std::size_t me = slot_e[slots[i].dup_begin];
-          const std::size_t end_b = merged_bounds_.size();
-          const std::size_t end_e = merged_edges_.size();
-          const std::size_t delta = end_e - me;
-          merged_bounds_.reserve(end_b + (end_b - mb));
-          for (std::size_t b = mb; b < end_b; ++b)
-            merged_bounds_.push_back(merged_bounds_[b] + delta);
-          merged_edges_.resize(end_e + delta);
-          std::copy(merged_edges_.begin() + static_cast<std::ptrdiff_t>(me),
-                    merged_edges_.begin() + static_cast<std::ptrdiff_t>(end_e),
-                    merged_edges_.begin() + static_cast<std::ptrdiff_t>(end_e));
-        }
-      }
-      edges_view_ = &merged_edges_;
-      bounds_view_ = &merged_bounds_;
-    }
-
-    // Replay the class log onto the load matrices.
-    const auto& log_edges = *edges_view_;
-    const auto& log_bounds = *bounds_view_;
-    total_colours_ = static_cast<std::int64_t>(log_bounds.size());
-    if (total_colours_ == 0) return;
-    for (std::int64_t t = 0; t < total_colours_; ++t) {
-      const auto mid = static_cast<std::size_t>(t * n_ / total_colours_);
-      const std::size_t begin = log_bounds[static_cast<std::size_t>(t)];
-      const std::size_t finish =
-          t + 1 < total_colours_ ? log_bounds[static_cast<std::size_t>(t + 1)]
-                                 : log_edges.size();
-      auto* la = load_a_.data() + mid * static_cast<std::size_t>(n_);
-      auto* lb = load_b_.data() + mid * static_cast<std::size_t>(n_);
-      for (std::size_t i = begin; i < finish; ++i) {
-        const auto e = log_edges[i];
-        ++la[e >> 16];
-        ++lb[e & 0xffffu];
-      }
+  /// Visit the colour classes in order: fn receives each class's packed
+  /// (src << 16) | dst edges.
+  template <typename Fn>
+  void for_each_class(Fn&& fn) const {
+    for (const auto& seg : segments_) {
+      const auto& eng = engines_[static_cast<std::size_t>(seg.task)];
+      for (std::size_t c = 0; c < eng.classes(); ++c) fn(eng.class_edges(c));
     }
   }
 
  private:
+  /// A node of the expansion tree: a task leaf (task >= 0), a real split
+  /// (lo and hi), or an identical-halves collapse (lo only; its subtree's
+  /// classes play twice).
+  struct TreeNode {
+    int task = -1;
+    int lo = -1;
+    int hi = -1;
+  };
+
+  /// A task's whole class log placed at global class index `first`.
+  struct Segment {
+    int task;
+    std::int64_t first;
+  };
+
+  void grow_engines(std::size_t count) {
+    while (engines_.size() < count) engines_.emplace_back(n_);
+  }
+
+  /// Expand the top of the split recursion level by level until every
+  /// open node has made `max_splits` real splits (or is a leaf of the
+  /// recursion). Identical-halves collapses are free: they do not spend
+  /// the budget, so lists whose counts share a factor 2^k still yield
+  /// 2^max_splits concrete tasks. Each level splits its frontier under
+  /// parallel_for, one engine per node. Returns the tasks, indexed by
+  /// their tree_ leaves.
+  std::vector<SplitTask> expand(std::vector<Edge> edges, int max_splits) {
+    struct Open {
+      int node;
+      int splits;
+      SplitTask task;
+    };
+    std::vector<SplitTask> tasks;
+    std::vector<Open> frontier, next;
+    frontier.push_back({0, 0, {std::move(edges), {}, false, 0}});
+    std::vector<SplitTask> lo, hi;
+    std::vector<int> kids;
+    while (!frontier.empty()) {
+      const auto width = frontier.size();
+      grow_engines(width);
+      lo.assign(width, {});
+      hi.assign(width, {});
+      kids.assign(width, 0);
+      parallel_for(0, static_cast<int>(width), [&](int i) {
+        const auto u = static_cast<std::size_t>(i);
+        auto& open = frontier[u];
+        if (open.splits < max_splits && open.task.depth <= 64)
+          kids[u] = engines_[u].split_once(open.task, lo[u], hi[u]);
+      });
+      next.clear();
+      for (std::size_t u = 0; u < width; ++u) {
+        auto& open = frontier[u];
+        const auto node = static_cast<std::size_t>(open.node);
+        if (kids[u] == 0) {
+          tree_[node].task = static_cast<int>(tasks.size());
+          tasks.push_back(std::move(open.task));
+          continue;
+        }
+        const int splits = open.splits + (kids[u] == 2 ? 1 : 0);
+        tree_[node].lo = static_cast<int>(tree_.size());
+        tree_.emplace_back();
+        next.push_back({tree_[node].lo, splits, std::move(lo[u])});
+        if (kids[u] == 2) {
+          tree_[node].hi = static_cast<int>(tree_.size());
+          tree_.emplace_back();
+          next.push_back({tree_[node].hi, splits, std::move(hi[u])});
+        }
+      }
+      frontier.swap(next);
+    }
+    return tasks;
+  }
+
+  /// Place the task logs in the recursion's DFS order: a split lays out its
+  /// lo then its hi subtree; a collapse lays out its child's segments twice
+  /// — the serial identical-halves duplication, at segment granularity.
+  void lay_out(int node) {
+    const auto& t = tree_[static_cast<std::size_t>(node)];
+    if (t.task >= 0) {
+      const auto classes = static_cast<std::int64_t>(
+          engines_[static_cast<std::size_t>(t.task)].classes());
+      if (classes > 0) segments_.push_back({t.task, total_colours_});
+      total_colours_ += classes;
+      return;
+    }
+    const std::size_t mark = segments_.size();
+    const std::int64_t first = total_colours_;
+    lay_out(t.lo);
+    if (t.hi >= 0) {
+      lay_out(t.hi);
+      return;
+    }
+    const std::size_t end = segments_.size();
+    const std::int64_t span = total_colours_ - first;
+    for (std::size_t s = mark; s < end; ++s) {
+      const Segment seg = segments_[s];
+      segments_.push_back({seg.task, seg.first + span});
+    }
+    total_colours_ += span;
+  }
+
+  /// Replay the classes that go through intermediate `mid` — those t with
+  /// floor(t*n/C) == mid — onto load rows `mid`.
+  void replay(int mid) {
+    const std::int64_t c = total_colours_;
+    const std::int64_t t_end = ((mid + 1) * c + n_ - 1) / n_;
+    std::int64_t t = (mid * c + n_ - 1) / n_;
+    if (t >= t_end) return;
+    const auto row = static_cast<std::size_t>(mid) * static_cast<std::size_t>(n_);
+    auto* la = load_a_.data() + row;
+    auto* lb = load_b_.data() + row;
+    // The last segment starting at or before class t holds it.
+    auto seg = std::upper_bound(segments_.begin(), segments_.end(), t,
+                                [](std::int64_t v, const Segment& s) {
+                                  return v < s.first;
+                                }) -
+               1;
+    for (; t < t_end; ++seg) {
+      const auto& eng = engines_[static_cast<std::size_t>(seg->task)];
+      const std::int64_t seg_end =
+          seg->first + static_cast<std::int64_t>(eng.classes());
+      for (; t < t_end && t < seg_end; ++t) {
+        const auto local = static_cast<std::size_t>(t - seg->first);
+        for (const auto e : eng.class_edges(local)) {
+          ++la[e >> 16];
+          ++lb[e & 0xffffu];
+        }
+      }
+    }
+  }
+
   int n_;
   std::int64_t total_colours_ = 0;
-  std::vector<std::int64_t>& load_a_;  ///< intermediate-major: [mid][src]
-  std::vector<std::int64_t>& load_b_;  ///< intermediate-major: [mid][dst]
-  SplitEngine root_;
-  std::vector<std::uint32_t> merged_edges_;
-  std::vector<std::size_t> merged_bounds_;
-  const std::vector<std::uint32_t>* edges_view_ = nullptr;
-  const std::vector<std::size_t>* bounds_view_ = nullptr;
+  int tasks_ = 0;
+  std::vector<std::int64_t> load_a_;  ///< intermediate-major: [mid][src]
+  std::vector<std::int64_t> load_b_;  ///< intermediate-major: [mid][dst]
+  std::vector<SplitEngine> engines_;   ///< one per frontier node / task
+  std::vector<TreeNode> tree_;         ///< expansion tree, root first
+  std::vector<Segment> segments_;      ///< task logs in class order
 };
 
 std::vector<Edge> demand_edges(int n, const std::vector<Demand>& demands,
@@ -996,18 +1032,11 @@ Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands,
                                int split_tasks) {
   CCA_EXPECTS(n >= 1);
   Schedule sched;
-  const auto edges = demand_edges(n, demands, &sched.words);
+  auto edges = demand_edges(n, demands, &sched.words);
   if (edges.empty()) return sched;
 
-  const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  std::vector<std::int64_t> load_a(nn);
-  std::vector<std::int64_t> load_b(nn);
-  KoenigColouring colouring(n, load_a, load_b);
-  colouring.colour(edges, split_tasks);
-
-  const auto max_a = *std::max_element(load_a.begin(), load_a.end());
-  const auto max_b = *std::max_element(load_b.begin(), load_b.end());
-  sched.rounds = max_a + max_b;
+  const KoenigColouring colouring(n, std::move(edges), split_tasks);
+  sched.rounds = colouring.rounds();
   sched.classes = colouring.total_colours();
   return sched;
 }
@@ -1019,25 +1048,33 @@ Schedule schedule_greedy_relay(int n, const std::vector<Demand>& demands) {
 std::vector<std::vector<std::pair<int, int>>> koenig_relay_classes(
     int n, const std::vector<Demand>& demands, int split_tasks) {
   CCA_EXPECTS(n >= 1);
-  const auto edges = demand_edges(n, demands, nullptr);
+  auto edges = demand_edges(n, demands, nullptr);
   if (edges.empty()) return {};
-  const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  std::vector<std::int64_t> load_a(nn), load_b(nn);
-  KoenigColouring colouring(n, load_a, load_b);
-  colouring.colour(edges, split_tasks <= 0 ? default_split_tasks()
-                                           : split_tasks);
-  const auto& log_edges = colouring.edges();
-  const auto& log_bounds = colouring.bounds();
-  std::vector<std::vector<std::pair<int, int>>> classes(log_bounds.size());
-  for (std::size_t t = 0; t < log_bounds.size(); ++t) {
-    const std::size_t finish =
-        t + 1 < log_bounds.size() ? log_bounds[t + 1] : log_edges.size();
-    for (std::size_t i = log_bounds[t]; i < finish; ++i)
-      classes[t].emplace_back(static_cast<int>(log_edges[i] >> 16),
-                              static_cast<int>(log_edges[i] & 0xffffu));
-  }
+  const KoenigColouring colouring(
+      n, std::move(edges),
+      split_tasks <= 0 ? default_split_tasks() : split_tasks);
+  std::vector<std::vector<std::pair<int, int>>> classes;
+  classes.reserve(static_cast<std::size_t>(colouring.total_colours()));
+  colouring.for_each_class([&](std::span<const std::uint32_t> es) {
+    auto& cls = classes.emplace_back();
+    for (const auto e : es)
+      cls.emplace_back(static_cast<int>(e >> 16),
+                       static_cast<int>(e & 0xffffu));
+  });
   return classes;
 }
+
+namespace detail {
+
+int koenig_split_task_count(int n, const std::vector<Demand>& demands,
+                            int split_tasks) {
+  CCA_EXPECTS(n >= 1);
+  auto edges = demand_edges(n, demands, nullptr);
+  if (edges.empty()) return 0;
+  return KoenigColouring(n, std::move(edges), split_tasks).tasks();
+}
+
+}  // namespace detail
 
 std::vector<std::vector<std::pair<int, int>>> greedy_relay_classes(
     int n, const std::vector<Demand>& demands) {

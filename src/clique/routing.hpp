@@ -107,13 +107,16 @@ struct Schedule {
 /// Run the Euler-split colouring and return the full Schedule (the
 /// `rounds` member is exactly rounds_koenig_relay's value).
 ///
-/// The split recursion runs as `split_tasks` independent subtree tasks under
-/// cca::parallel_for (after a serial frontier expansion that reproduces the
-/// top of the recursion), with the per-task class logs merged in DFS order —
-/// the colour classes, and therefore the rounds, are BIT-IDENTICAL for every
-/// task count, including the pure-serial split_tasks <= 1 path (pinned by
+/// The split recursion runs as about `split_tasks` independent subtree tasks
+/// under cca::parallel_for. A level-parallel frontier expansion reproduces
+/// the top of the recursion; identical-halves collapses there do not count
+/// toward the task budget, so lists whose word counts share a factor 2^k
+/// still yield that many concrete tasks. The load matrices are replayed
+/// straight from the per-task class logs in DFS order. The colour classes,
+/// and therefore the rounds, are BIT-IDENTICAL for every task count,
+/// including the pure-serial split_tasks <= 1 path (pinned by
 /// tests/test_routing.cpp). The parameterless overload picks the task count
-/// from cca::parallel_workers() (1 worker => serial).
+/// from cca::parallel_workers() (1 worker => serial, else 2 per worker).
 [[nodiscard]] Schedule schedule_koenig_relay(int n,
                                              const std::vector<Demand>& demands);
 [[nodiscard]] Schedule schedule_koenig_relay(int n,
@@ -135,6 +138,17 @@ koenig_relay_classes(int n, const std::vector<Demand>& demands,
                      int split_tasks = 0);
 [[nodiscard]] std::vector<std::vector<std::pair<int, int>>>
 greedy_relay_classes(int n, const std::vector<Demand>& demands);
+
+namespace detail {
+
+/// Test introspection: how many concrete subtree tasks the Euler split
+/// runs for this demand list at `split_tasks` (identical-halves
+/// duplications are not tasks; the serial path is one task).
+[[nodiscard]] int koenig_split_task_count(int n,
+                                          const std::vector<Demand>& demands,
+                                          int split_tasks);
+
+}  // namespace detail
 
 /// Order-sensitive 64-bit fingerprint of a canonical demand list. Callers
 /// must pass demands in a canonical order ((src, dst) ascending, as

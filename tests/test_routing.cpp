@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "clique/network.hpp"
 #include "clique/primitives.hpp"
 #include "clique/routing.hpp"
+#include "core/mm.hpp"
 #include "util/rng.hpp"
 
 namespace cca::clique {
@@ -259,21 +261,56 @@ TEST(Schedules, ParallelSplitIsBitIdenticalToSerial) {
   // counts far above the machine's worker count. This is the property that
   // lets a multi-core CI machine gate its BENCH_routing.json rows against
   // a single-core baseline.
+  //
+  // Ragged lists (1-20 random words per pair) almost never split into
+  // identical halves; the same lists with every count x8, and the 3D
+  // semiring supersteps with 36- and 72-word blocks (the witness codec's
+  // shapes), collapse at the top of the recursion, which is where the
+  // expansion replays a subtree instead of splitting it.
+  struct Case {
+    int n;
+    std::vector<Demand> demands;
+    std::string what;
+  };
+  std::vector<Case> cases;
   Rng rng(321);
-  const int n = 20;
   for (int trial = 0; trial < 4; ++trial) {
-    const auto demands = random_demands(rng, n, 80, 20);
-    const auto serial = koenig_relay_classes(n, demands, 1);
-    for (const int tasks : {2, 4, 8, 16}) {
-      EXPECT_EQ(serial, koenig_relay_classes(n, demands, tasks))
-          << "tasks=" << tasks << " trial=" << trial;
-    }
-    const auto s1 = schedule_koenig_relay(n, demands, 1);
-    const auto s8 = schedule_koenig_relay(n, demands, 8);
-    EXPECT_EQ(s1.rounds, s8.rounds);
-    EXPECT_EQ(s1.classes, s8.classes);
-    EXPECT_EQ(s1.words, s8.words);
+    auto demands = random_demands(rng, 20, 80, 20);
+    auto scaled = demands;
+    for (auto& d : scaled) d.words *= 8;
+    cases.push_back({20, std::move(demands), "ragged " + std::to_string(trial)});
+    cases.push_back({20, std::move(scaled), "ragged x8 " + std::to_string(trial)});
   }
+  for (const int n : {64, 216})
+    for (const std::size_t block : {36, 72}) {
+      auto [step1, step3] = core::semiring3d_superstep_demands(n, block);
+      const auto tag = " n=" + std::to_string(n) + " block=" + std::to_string(block);
+      cases.push_back({n, std::move(step1), "3d step1" + tag});
+      cases.push_back({n, std::move(step3), "3d step3" + tag});
+    }
+  for (const auto& c : cases) {
+    const auto serial = koenig_relay_classes(c.n, c.demands, 1);
+    for (const int tasks : {2, 4, 8, 16, 32}) {
+      EXPECT_EQ(serial, koenig_relay_classes(c.n, c.demands, tasks))
+          << c.what << " tasks=" << tasks;
+    }
+    const auto s1 = schedule_koenig_relay(c.n, c.demands, 1);
+    const auto s8 = schedule_koenig_relay(c.n, c.demands, 8);
+    EXPECT_EQ(s1.rounds, s8.rounds) << c.what;
+    EXPECT_EQ(s1.classes, s8.classes) << c.what;
+    EXPECT_EQ(s1.words, s8.words) << c.what;
+  }
+}
+
+TEST(Schedules, CollapsingListsStillSplitIntoConcreteTasks) {
+  // Every count of the n=216 72-word lists shares the factor 8, so the top
+  // three splits are identical-halves collapses. Collapses must not spend
+  // the expansion budget: 8 requested tasks give 8 concrete subtrees, not
+  // one subtree replayed 8 times.
+  auto [step1, step3] = core::semiring3d_superstep_demands(216, 72);
+  EXPECT_GE(detail::koenig_split_task_count(216, step1, 8), 8);
+  EXPECT_GE(detail::koenig_split_task_count(216, step3, 8), 8);
+  EXPECT_EQ(detail::koenig_split_task_count(216, step1, 1), 1);
 }
 
 TEST(Schedules, GreedyClassesWithinFirstFitBound) {

@@ -42,7 +42,8 @@ Matrix<std::int64_t> random_minplus(int n, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   cca::bench::print_header("Ablation 1: router inside semiring MM (n = 216)");
   for (const auto& [router, name] :
        std::initializer_list<std::pair<clique::Router, const char*>>{

@@ -45,6 +45,8 @@ void print_trace(const std::vector<AutoEngineChoice>& trace) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cca::bench::require_known_flags(
+      argc, argv, {"--json", "--smoke", "--sparse", "--faults"});
   cca::bench::JsonReport json("apsp", argc, argv);
   const bool smoke = cca::bench::has_flag(argc, argv, "--smoke");
 

@@ -16,7 +16,8 @@ using cca::bench::Series;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   cca::bench::print_header(
       "Table 1: exact APSP by weighted diameter (Corollary 8) — U sweep at "
       "n = 25");

@@ -6,10 +6,14 @@
 // exact schedule accounting (see src/clique/), never from formulas.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/fit.hpp"
@@ -103,6 +107,30 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == flag) return true;
   return false;
+}
+
+/// Exit with status 2, printing the accepted flags, when argv holds an
+/// argument that is neither one of `accepted` nor starts with one of the
+/// internal `prefixes`. A typo such as `--smok` must not silently run the
+/// full sweep.
+inline void require_known_flags(
+    int argc, char** argv, std::initializer_list<std::string_view> accepted,
+    std::initializer_list<std::string_view> prefixes = {}) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (std::find(accepted.begin(), accepted.end(), arg) != accepted.end())
+      continue;
+    if (std::any_of(prefixes.begin(), prefixes.end(),
+                    [&](std::string_view p) { return arg.starts_with(p); }))
+      continue;
+    std::fprintf(stderr, "%s: unknown flag '%s'; accepted:", argv[0],
+                 argv[i]);
+    if (accepted.size() == 0) std::fprintf(stderr, " (none)");
+    for (const auto flag : accepted)
+      std::fprintf(stderr, " %.*s", static_cast<int>(flag.size()), flag.data());
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
 }
 
 struct Series {

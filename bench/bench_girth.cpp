@@ -15,7 +15,8 @@ using cca::bench::Series;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   cca::bench::print_header("Table 1: girth (undirected, Theorem 15)");
 
   // Sparse family: the Lemma 14 dichotomy takes the learn-the-graph path

@@ -20,7 +20,8 @@ using cca::bench::Series;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   cca::bench::print_header(
       "Table 1: k-cycle detection — colour-coding vs Dolev baseline (k = 5)");
 

@@ -204,6 +204,10 @@ std::int64_t run_naive(int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv,
+                                  {"--json", "--smoke", "--steps", "--batch",
+                                   "--sparse", "--transport=socket"},
+                                  {"--socket-worker="});
   cca::bench::JsonReport json("mm", argc, argv);
 
   // Hidden worker mode for --transport=socket: this process is rank R of a
@@ -440,7 +444,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nNote: absolute crossover fast-vs-semiring requires n beyond "
               "laptop simulation for sigma=2.807; the reproduced claim is "
-              "the exponent ordering 0.288 < 0.333 < 1 (see EXPERIMENTS.md).\n");
+              "the exponent ordering 0.288 < 0.333 < 1 (see README.md, "
+              "\"Choosing an MmKind\").\n");
   json.note(
       "semiring_3d clique_n=343 spike (--steps finding): >94% of the time is "
       "deliver(), i.e. KoenigRelay Euler-split scheduling. At n=343 each pair "

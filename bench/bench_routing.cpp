@@ -4,17 +4,16 @@
 //
 // `--json` writes BENCH_routing.json: the SCHEDULER-WALL series — host
 // nanoseconds spent computing one relay schedule from scratch (no cache)
-// for the exact Euler split run serially (split_tasks = 1), the exact
-// split run as 4 parallel subtree tasks, and the greedy first-fit
-// colouring. The exact-serial and exact-tasks4 rows must carry IDENTICAL
-// rounds (the split is bit-identical for every task count — the property
-// tests/test_routing.cpp pins per class); scripts/bench_compare.py gates
-// both rows against the committed baseline, so a CI machine with any core
-// count re-proves the identity on every run. The greedy rows document the
-// <= 2x round bound's measured slack. The collapse-heavy series times the
-// two supersteps of the 3D semiring product whose per-pair word counts share
-// a factor 2^k (the witness codec's and batched products' shapes): the
-// serial split against the default task count, under the same self-check.
+// for the Koenig Euler split, the one relay scheduler Network runs, once
+// serially (split_tasks = 1) and once as 4 parallel subtree tasks. The two
+// rows must carry IDENTICAL rounds (the split is bit-identical for every
+// task count — the property tests/test_routing.cpp pins per class);
+// scripts/bench_compare.py gates both rows against the committed baseline,
+// so a CI machine with any core count re-proves the identity on every run.
+// The collapse-heavy series times the two supersteps of the 3D semiring
+// product whose per-pair word counts share a factor 2^k (the witness
+// codec's and batched products' shapes): the serial split against the
+// default task count, under the same self-check.
 // `--smoke` restricts to tiny sizes (and the smallest 3D case).
 #include <algorithm>
 #include <cstdio>
@@ -89,15 +88,16 @@ std::pair<Schedule, std::int64_t> time_schedule(Fn&& fn, int reps = 3) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {"--json", "--smoke"});
   cca::bench::JsonReport json("routing", argc, argv);
   const bool smoke = cca::bench::has_flag(argc, argv, "--smoke");
 
   cca::bench::print_header(
       "Scheduler wall-clock on ragged instances (~16 dsts/src, 1-32 words): "
-      "exact Euler split serial vs 4-task vs greedy first-fit");
+      "exact Euler split serial vs 4-task");
   std::printf("  workers=%d (CCA_THREADS overrides)\n", parallel_workers());
-  std::printf("  %5s  %10s  %12s  %12s  %12s  %7s  %7s\n", "n", "demands",
-              "serial ms", "tasks4 ms", "greedy ms", "rounds", "greedy");
+  std::printf("  %5s  %10s  %12s  %12s  %7s\n", "n", "demands",
+              "serial ms", "tasks4 ms", "rounds");
   const std::vector<int> sizes = smoke ? std::vector<int>{27, 64}
                                        : std::vector<int>{64, 125, 216, 343,
                                                           512};
@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
         time_schedule([&] { return schedule_koenig_relay(n, d, 1); });
     const auto [tasks4, wall_tasks4] =
         time_schedule([&] { return schedule_koenig_relay(n, d, 4); });
-    const auto [greedy, wall_greedy] =
-        time_schedule([&] { return schedule_greedy_relay(n, d); });
     if (serial.rounds != tasks4.rounds || serial.classes != tasks4.classes) {
       std::fprintf(stderr,
                    "FATAL: parallel split diverged at n=%d (serial %lld "
@@ -119,17 +117,13 @@ int main(int argc, char** argv) {
     }
     json.add("sched_exact_serial", n, serial.rounds, wall_serial);
     json.add("sched_exact_tasks4", n, tasks4.rounds, wall_tasks4);
-    json.add("sched_greedy", n, greedy.rounds, wall_greedy);
-    std::printf("  %5d  %10zu  %12.3f  %12.3f  %12.3f  %7lld  %7lld\n", n,
-                d.size(), static_cast<double>(wall_serial) * 1e-6,
+    std::printf("  %5d  %10zu  %12.3f  %12.3f  %7lld\n", n, d.size(),
+                static_cast<double>(wall_serial) * 1e-6,
                 static_cast<double>(wall_tasks4) * 1e-6,
-                static_cast<double>(wall_greedy) * 1e-6,
-                static_cast<long long>(serial.rounds),
-                static_cast<long long>(greedy.rounds));
+                static_cast<long long>(serial.rounds));
   }
   std::printf("(exact-serial and exact-tasks4 rounds are bit-identical by "
-              "construction — the bench aborts otherwise; greedy rounds are "
-              "bounded by 2x the optimum, so at most ~2x the exact rows)\n");
+              "construction — the bench aborts otherwise)\n");
 
   cca::bench::print_header(
       "Scheduler wall-clock on collapse-heavy 3D supersteps (step 1 + step "
@@ -179,17 +173,16 @@ int main(int argc, char** argv) {
   cca::bench::print_header(
       "Lenzen-balanced instances (n words in/out per node): rounds must be "
       "O(1) in n");
-  std::printf("%-8s %-10s %-10s %-10s %-10s %-10s\n", "n", "direct", "hash",
-              "random", "koenig", "greedy");
+  std::printf("%-8s %-10s %-10s %-10s %-10s\n", "n", "direct", "hash",
+              "random", "koenig");
   Rng rng(42);
   for (const int n : {16, 32, 64, 128, 256}) {
     const auto d = balanced(n, 1);
-    std::printf("%-8d %-10lld %-10lld %-10lld %-10lld %-10lld\n", n,
+    std::printf("%-8d %-10lld %-10lld %-10lld %-10lld\n", n,
                 static_cast<long long>(rounds_direct(n, d)),
                 static_cast<long long>(rounds_hash_relay(n, d)),
                 static_cast<long long>(rounds_random_relay(n, d, rng)),
-                static_cast<long long>(rounds_koenig_relay(n, d)),
-                static_cast<long long>(rounds_greedy_relay(n, d)));
+                static_cast<long long>(rounds_koenig_relay(n, d)));
   }
 
   cca::bench::print_header(
@@ -225,9 +218,7 @@ int main(int argc, char** argv) {
       "computations (no cache). sched_exact_serial and sched_exact_tasks4 "
       "must stay round-identical — the parallel Euler split's colour "
       "classes are bit-identical for every task count (the gate checks "
-      "rounds equality and wall blowout only). sched_greedy documents the "
-      "measured slack under the <= 2x first-fit bound for an O(words) "
-      "scheduling pass.");
+      "rounds equality and wall blowout only).");
   json.note(
       "collapse-heavy series: sched3d_exact_* sum step 1 and step 3 of "
       "mm_semiring_3d (n=216 with 72-word blocks, the exact-APSP witness "

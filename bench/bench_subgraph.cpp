@@ -19,7 +19,8 @@ using cca::bench::Series;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   cca::bench::print_header("Table 1: triangle / 4-cycle counting rounds");
 
   Series tri_fast{"triangles fast", {}, {}};

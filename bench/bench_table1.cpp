@@ -57,7 +57,8 @@ std::string fit_cell2(const std::vector<double>& ns,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cca::bench::require_known_flags(argc, argv, {});
   std::printf("Reproduction of Table 1 (PODC 2015): measured on the exact-\n"
               "accounting clique simulator; fast engine = Strassen tensor\n"
               "(sigma = log2 7 = 2.807, so implemented rho = 0.288; the\n"
@@ -235,7 +236,5 @@ int main() {
   }
 
   std::fputs(t.to_string().c_str(), stdout);
-  std::printf("\nSee EXPERIMENTS.md for the paper-vs-measured discussion of "
-              "every row.\n");
   return 0;
 }

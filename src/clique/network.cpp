@@ -93,7 +93,7 @@ void Network::allgather_node_blocks(std::span<Word> data,
 std::int64_t Network::prepare_schedule(const std::vector<Demand>& demands) {
   if (demands.empty()) return 0;
   const auto t0 = wall_now_ns();
-  const auto rounds = schedule_cache_.get(n_, demands, schedule_policy_).rounds;
+  const auto rounds = schedule_cache_.get(n_, demands).rounds;
   stats_.schedule_wall_ns += wall_now_ns() - t0;
   return rounds;
 }
@@ -117,8 +117,7 @@ std::int64_t Network::route_rounds(Router router,
       if (demands.empty()) return 0;
       bool hit = false;
       const auto t0 = wall_now_ns();
-      const auto rounds =
-          schedule_cache_.get(n_, demands, schedule_policy_, &hit).rounds;
+      const auto rounds = schedule_cache_.get(n_, demands, &hit).rounds;
       stats_.schedule_wall_ns += wall_now_ns() - t0;
       if (hit)
         ++stats_.schedule_hits;

@@ -15,8 +15,10 @@
 //
 // Architecture: Network is the ACCOUNTING layer — demand scheduling, round
 // charging, TrafficStats, the schedule cache, and the fault/integrity
-// machinery. The data plane (staging buffers, delivery arena, inboxes) lives
-// behind the clique::Transport seam (transport.hpp); the in-process
+// machinery. Relay supersteps have one scheduler, the Koenig Euler split;
+// its schedules are cached per demand shape. The data plane (staging
+// buffers, delivery arena, inboxes) lives behind the clique::Transport seam
+// (transport.hpp); the in-process
 // ArenaTransport is the default backend, and a future multi-process backend
 // slots in without touching any round accounting.
 //
@@ -257,21 +259,6 @@ class Network {
   /// accounting state.
   void reset_stats() noexcept { stats_ = TrafficStats{}; }
 
-  /// Relay scheduling policy for KoenigRelay supersteps (and for
-  /// prepare_schedule planning). ExactKoenig — the default, and what every
-  /// round-pinned test runs — charges the Euler-split's near-optimal round
-  /// counts. Greedy swaps in the first-fit colouring: documented <= 2x the
-  /// optimal class count for an O(words) scheduling pass — the rounds
-  /// charged are still the EXACT cost of the concrete (looser) schedule.
-  /// Changing policy mid-run is legal; cache entries are policy-tagged, so
-  /// schedules never leak across policies.
-  void set_schedule_policy(SchedulePolicy policy) noexcept {
-    schedule_policy_ = policy;
-  }
-  [[nodiscard]] SchedulePolicy schedule_policy() const noexcept {
-    return schedule_policy_;
-  }
-
   /// The Koenig schedule cache (exposed for tests and diagnostics).
   [[nodiscard]] const ScheduleCache& schedule_cache() const noexcept {
     return schedule_cache_;
@@ -361,7 +348,6 @@ class Network {
   int n_;
   NodeSpan owned_;  // transport_->owned(), cached at construction
   Router default_router_;
-  SchedulePolicy schedule_policy_ = SchedulePolicy::ExactKoenig;
   Rng rng_;
 
   // The data plane (staging buffers, delivery arena, inboxes).

@@ -883,97 +883,6 @@ std::vector<Edge> demand_edges(int n, const std::vector<Demand>& demands,
   return edges;
 }
 
-// ---------------------------------------------------------------------------
-// Greedy first-fit edge colouring (SchedulePolicy::Greedy).
-// ---------------------------------------------------------------------------
-
-/// Assign every demanded word the LOWEST level (colour) unused at both its
-/// endpoints: per level each src sends at most one word and each dst
-/// receives at most one, so every level is a partial matching on ports by
-/// construction. A word of (s, d) only ever sees levels blocked by s's own
-/// words or d's own words, so its level is < deg(s) + deg(d) - 1
-/// <= 2*maxdeg - 1 — under twice the optimal (chromatic index >= maxdeg)
-/// colour count, the Misra–Gries bound shape. One linear scan over per-
-/// vertex level bitsets (with first-free hints) replaces the Euler split's
-/// O(words * log maxdeg) class construction.
-///
-/// Levels map to intermediates exactly like Koenig classes (level t of C
-/// goes through node floor(t*n/C)) and the rounds are the same exact
-/// max-load sum over the CONCRETE plan — the accounting stays honest; only
-/// the plan is up to ~2x looser.
-Schedule greedy_relay_impl(int n, const std::vector<Demand>& demands,
-                           std::vector<std::uint32_t>* levels_out,
-                           std::int64_t* classes_out) {
-  CCA_EXPECTS(n >= 1);
-  Schedule sched;
-  std::int64_t total_words = 0;
-  for (const auto& d : demands) {
-    CCA_EXPECTS(d.src >= 0 && d.src < n && d.dst >= 0 && d.dst < n);
-    CCA_EXPECTS(d.words >= 0);
-    total_words += d.words;
-  }
-  sched.words = total_words;
-  if (total_words == 0) return sched;
-
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<std::vector<std::uint64_t>> send_used(un), recv_used(un);
-  std::vector<std::size_t> send_hint(un, 0), recv_hint(un, 0);
-  std::vector<std::uint32_t> levels;
-  levels.reserve(static_cast<std::size_t>(total_words));
-  std::uint32_t max_level = 0;
-
-  for (const auto& d : demands) {
-    if (d.words == 0) continue;
-    auto& su = send_used[static_cast<std::size_t>(d.src)];
-    auto& ru = recv_used[static_cast<std::size_t>(d.dst)];
-    std::size_t w = std::max(send_hint[static_cast<std::size_t>(d.src)],
-                             recv_hint[static_cast<std::size_t>(d.dst)]);
-    std::int64_t remaining = d.words;
-    while (remaining > 0) {
-      if (w >= su.size()) su.resize(w + 1, 0);
-      if (w >= ru.size()) ru.resize(w + 1, 0);
-      std::uint64_t free = ~(su[w] | ru[w]);
-      while (free != 0 && remaining > 0) {
-        const int bit = std::countr_zero(free);
-        free &= free - 1;
-        su[w] |= std::uint64_t{1} << bit;
-        ru[w] |= std::uint64_t{1} << bit;
-        const auto level =
-            static_cast<std::uint32_t>(w * 64 + static_cast<std::size_t>(bit));
-        levels.push_back(level);
-        if (level > max_level) max_level = level;
-        --remaining;
-      }
-      ++w;
-    }
-    auto& sh = send_hint[static_cast<std::size_t>(d.src)];
-    while (sh < su.size() && su[sh] == ~std::uint64_t{0}) ++sh;
-    auto& rh = recv_hint[static_cast<std::size_t>(d.dst)];
-    while (rh < ru.size() && ru[rh] == ~std::uint64_t{0}) ++rh;
-  }
-
-  const std::int64_t classes = static_cast<std::int64_t>(max_level) + 1;
-  sched.classes = classes;
-
-  const auto nn = un * un;
-  std::vector<std::int64_t> load_a(nn, 0), load_b(nn, 0);
-  std::size_t at = 0;
-  for (const auto& d : demands) {
-    for (std::int64_t wds = 0; wds < d.words; ++wds) {
-      const auto mid = static_cast<std::size_t>(
-          static_cast<std::int64_t>(levels[at++]) * n / classes);
-      ++load_a[mid * un + static_cast<std::size_t>(d.src)];
-      ++load_b[mid * un + static_cast<std::size_t>(d.dst)];
-    }
-  }
-  const auto max_a = *std::max_element(load_a.begin(), load_a.end());
-  const auto max_b = *std::max_element(load_b.begin(), load_b.end());
-  sched.rounds = max_a + max_b;
-  if (levels_out != nullptr) *levels_out = std::move(levels);
-  if (classes_out != nullptr) *classes_out = classes;
-  return sched;
-}
-
 }  // namespace
 
 std::int64_t rounds_direct(int n, const std::vector<Demand>& demands) {
@@ -1020,10 +929,6 @@ std::int64_t rounds_koenig_relay(int n, const std::vector<Demand>& demands) {
   return schedule_koenig_relay(n, demands).rounds;
 }
 
-std::int64_t rounds_greedy_relay(int n, const std::vector<Demand>& demands) {
-  return schedule_greedy_relay(n, demands).rounds;
-}
-
 Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands) {
   return schedule_koenig_relay(n, demands, default_split_tasks());
 }
@@ -1039,10 +944,6 @@ Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands,
   sched.rounds = colouring.rounds();
   sched.classes = colouring.total_colours();
   return sched;
-}
-
-Schedule schedule_greedy_relay(int n, const std::vector<Demand>& demands) {
-  return greedy_relay_impl(n, demands, nullptr, nullptr);
 }
 
 std::vector<std::vector<std::pair<int, int>>> koenig_relay_classes(
@@ -1076,20 +977,6 @@ int koenig_split_task_count(int n, const std::vector<Demand>& demands,
 
 }  // namespace detail
 
-std::vector<std::vector<std::pair<int, int>>> greedy_relay_classes(
-    int n, const std::vector<Demand>& demands) {
-  std::vector<std::uint32_t> levels;
-  std::int64_t classes_n = 0;
-  (void)greedy_relay_impl(n, demands, &levels, &classes_n);
-  std::vector<std::vector<std::pair<int, int>>> classes(
-      static_cast<std::size_t>(classes_n));
-  std::size_t at = 0;
-  for (const auto& d : demands)
-    for (std::int64_t w = 0; w < d.words; ++w)
-      classes[levels[at++]].emplace_back(d.src, d.dst);
-  return classes;
-}
-
 std::uint64_t demand_fingerprint(int n, const std::vector<Demand>& demands) {
   // Order-sensitive SplitMix64 chaining over (n, src, dst, words). The
   // callers pass the canonical (src, dst)-ascending list, so byte-identical
@@ -1107,13 +994,12 @@ std::uint64_t demand_fingerprint(int n, const std::vector<Demand>& demands) {
 }
 
 const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,
-                                   SchedulePolicy policy, bool* hit) {
+                                   bool* hit) {
   const auto key = demand_fingerprint(n, demands);
   if (const auto it = map_.find(key); it != map_.end()) {
     for (const auto eit : it->second)
-      if (eit->n == n && eit->policy == policy && eit->demands == demands) {
+      if (eit->n == n && eit->demands == demands) {
         ++stats_.hits;
-        ++eit->reuse;
         lru_.splice(lru_.begin(), lru_, eit);
         if (hit != nullptr) *hit = true;
         return eit->schedule;
@@ -1124,11 +1010,9 @@ const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,
 
   evict_to_fit(demands.size());
 
-  Schedule sched = policy == SchedulePolicy::Greedy
-                       ? schedule_greedy_relay(n, demands)
-                       : schedule_koenig_relay(n, demands);
+  Schedule sched = schedule_koenig_relay(n, demands);
   cached_demands_ += demands.size();
-  lru_.push_front(Entry{n, policy, demands, sched, 0, key});
+  lru_.push_front(Entry{n, demands, sched, key});
   map_[key].push_back(lru_.begin());
   return lru_.front().schedule;
 }
@@ -1145,18 +1029,6 @@ void ScheduleCache::evict_to_fit(std::size_t incoming_demands) {
     lru_.erase(victim);
     ++stats_.evictions;
   }
-}
-
-std::int64_t ScheduleCache::total_reuse() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& e : lru_) total += e.reuse;
-  return total;
-}
-
-std::int64_t ScheduleCache::max_entry_reuse() const noexcept {
-  std::int64_t best = 0;
-  for (const auto& e : lru_) best = std::max(best, e.reuse);
-  return best;
 }
 
 void ScheduleCache::clear() {

@@ -18,14 +18,11 @@
 //                schedules for arbitrary demands — the executable counterpart
 //                of Lenzen's routing theorem [46] and of the oblivious routing
 //                of Dolev et al. [24, Lemma 1].
-//      - greedy: first-fit edge colouring (Misra–Gries-flavoured bound): each
-//                word takes the lowest level free at both its endpoints, so
-//                the class count is at most deg(src)+deg(dst)-1 <= 2*maxdeg-1
-//                < 2x the optimal (Vizing/Koenig) colour count. One linear
-//                pass instead of the Euler split's O(words * log maxdeg).
 //
-// These functions are exposed separately from Network so that tests can probe
-// the schedules directly and the routing benchmark can compare disciplines.
+// Koenig is the one scheduler Network runs for relay supersteps; hash and
+// random remain as oblivious baselines. These functions are exposed
+// separately from Network so that tests can probe the schedules directly
+// and the routing benchmarks can compare disciplines.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +44,6 @@ struct Demand {
   friend bool operator==(const Demand&, const Demand&) = default;
 };
 
-/// Which scheduler a Network (or the cache) runs for relay supersteps.
-///
-///  * ExactKoenig — the Euler-split colouring: exact near-optimal rounds,
-///    O(words * log maxdeg) scheduling wall. The default, and the only
-///    policy round-pinned tests may rely on.
-///  * Greedy — first-fit colouring: <= 2x the optimal class count (hence
-///    ~2x rounds, measured well under that on the bench series) for one
-///    O(words) scheduling pass. Opt-in for wall-focused runs; rounds stay
-///    exact FOR THE SCHEDULE IT BUILDS (the simulator still counts real
-///    rounds of a real relay plan — only the plan is cheaper and looser).
-enum class SchedulePolicy { ExactKoenig, Greedy };
-
 /// Rounds for direct delivery: max over ordered links of the word count.
 [[nodiscard]] std::int64_t rounds_direct(int n,
                                          const std::vector<Demand>& demands);
@@ -73,10 +58,6 @@ enum class SchedulePolicy { ExactKoenig, Greedy };
 
 /// Rounds for the Euler-split (Koenig) relay schedule.
 [[nodiscard]] std::int64_t rounds_koenig_relay(
-    int n, const std::vector<Demand>& demands);
-
-/// Rounds for the greedy first-fit relay schedule (<= ~2x koenig).
-[[nodiscard]] std::int64_t rounds_greedy_relay(
     int n, const std::vector<Demand>& demands);
 
 // ---------------------------------------------------------------------------
@@ -123,21 +104,14 @@ struct Schedule {
                                              const std::vector<Demand>& demands,
                                              int split_tasks);
 
-/// Run the greedy first-fit colouring (SchedulePolicy::Greedy). Classes
-/// <= deg(src)+deg(dst)-1 <= 2*maxdeg-1, i.e. under 2x the optimal count.
-[[nodiscard]] Schedule schedule_greedy_relay(
-    int n, const std::vector<Demand>& demands);
-
 /// Test/diagnostic introspection: the concrete colour classes of a relay
 /// schedule, each class a list of (src, dst) word-ports. A legal schedule
 /// has every class a partial matching on ports (no src and no dst twice
 /// within a class) and delivers every demanded word exactly once; the
-/// schedule-validity property test asserts exactly that for both policies.
+/// schedule-validity property test asserts exactly that.
 [[nodiscard]] std::vector<std::vector<std::pair<int, int>>>
 koenig_relay_classes(int n, const std::vector<Demand>& demands,
                      int split_tasks = 0);
-[[nodiscard]] std::vector<std::vector<std::pair<int, int>>>
-greedy_relay_classes(int n, const std::vector<Demand>& demands);
 
 namespace detail {
 
@@ -156,9 +130,8 @@ namespace detail {
 [[nodiscard]] std::uint64_t demand_fingerprint(
     int n, const std::vector<Demand>& demands);
 
-/// Cache of relay schedules keyed by demand fingerprint, with entries tagged
-/// by the SchedulePolicy that computed them (an exact and a greedy schedule
-/// of the same shape are distinct entries). Hits verify the stored demand
+/// Cache of Koenig relay schedules keyed by demand fingerprint. Hits verify
+/// the stored demand
 /// list element-wise (exactness over speed: a 64-bit collision degrades to
 /// a chained recompute). The cache bounds its footprint with true LRU
 /// eviction: when the stored demand elements would exceed the capacity, the
@@ -173,12 +146,11 @@ class ScheduleCache {
     std::int64_t evictions = 0;
   };
 
-  /// The schedule for this demand list under `policy`; computed and
-  /// inserted on miss. The reference stays valid until the next get() call.
+  /// The Koenig schedule for this demand list; computed and inserted on
+  /// miss. The reference stays valid until the next get() call.
   /// When `hit` is non-null it receives whether this lookup was served from
   /// the cache (the same fact the internal stats counters record).
   const Schedule& get(int n, const std::vector<Demand>& demands,
-                      SchedulePolicy policy = SchedulePolicy::ExactKoenig,
                       bool* hit = nullptr);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -192,19 +164,12 @@ class ScheduleCache {
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Per-entry reuse observability: how often live entries were served from
-  /// the cache since insertion (an entry's count dies with its eviction).
-  [[nodiscard]] std::int64_t total_reuse() const noexcept;
-  [[nodiscard]] std::int64_t max_entry_reuse() const noexcept;
-
  private:
   struct Entry {
     int n = 0;
-    SchedulePolicy policy = SchedulePolicy::ExactKoenig;
     std::vector<Demand> demands;
     Schedule schedule;
-    std::int64_t reuse = 0;  ///< hits served by this entry
-    std::uint64_t key = 0;   ///< back-reference for O(1) eviction
+    std::uint64_t key = 0;  ///< back-reference for O(1) eviction
   };
   using EntryIt = std::list<Entry>::iterator;
 

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -1612,48 +1611,6 @@ struct MmDispatchContext {
   std::vector<AutoEngineChoice> trace;  ///< per-call engine choices
 };
 
-namespace detail {
-/// Per-engine EWMA of the HOST wall time mm_semiring_auto spent costing
-/// that candidate (indexed by preference rank: Sparse, Semiring3D, Fast,
-/// Naive). 0 means "no history yet". Only maintained while the wall
-/// tiebreak is enabled; purely a host-side heuristic signal, never part of
-/// the round accounting.
-struct AutoWallEwma {
-  std::atomic<std::int64_t> ns[4];
-};
-inline AutoWallEwma& auto_wall_ewma() {
-  static AutoWallEwma e;
-  return e;
-}
-inline std::atomic<bool>& auto_wall_tiebreak_flag() {
-  static std::atomic<bool> on{false};
-  return on;
-}
-}  // namespace detail
-
-/// Opt-in (default OFF) wall-aware tiebreak for tiny-n ONE-SHOT multiplies
-/// (no MmDispatchContext). The round model cannot separate engines whose
-/// plans land within one round of each other at small n, but their host
-/// planning cost can differ by orders of magnitude (the Euler split on an
-/// n^2 demand list vs. a sparse merge). When enabled, mm_semiring_auto
-/// times each candidate it actually costs, keeps a per-engine EWMA, and —
-/// among candidates whose PLANNED rounds land within 1 of the winner —
-/// prefers the engine with the lower measured planning wall.
-///
-/// Strictly wall-only and rounds-gated: the tiebreak never overrides a
-/// strict rounds winner (a candidate more than one round worse is never
-/// picked), never runs under an MmDispatchContext (iterated workloads keep
-/// the deterministic hysteresis trace), and never runs on a sharded
-/// network (wall times are rank-local; ranks must reach identical picks).
-/// With the toggle off — the default — dispatch is byte-identical to the
-/// historical rounds-then-preference policy.
-inline void set_auto_wall_tiebreak(bool on) {
-  detail::auto_wall_tiebreak_flag().store(on, std::memory_order_relaxed);
-}
-[[nodiscard]] inline bool auto_wall_tiebreak() {
-  return detail::auto_wall_tiebreak_flag().load(std::memory_order_relaxed);
-}
-
 /// nnz-adaptive dispatch: one real announcement round, then the engine with
 /// the fewest PLANNED rounds runs (plans are exact — they schedule the very
 /// demand lists the engines stage, through the net's schedule cache, so a
@@ -1726,22 +1683,16 @@ template <Semiring S, typename Codec>
   // Candidate costs AFTER the shared announcement. Planning is free in the
   // clique model but NOT on the host: the Euler split is the simulator's
   // wall-clock hot spot, and even BUILDING the O(T) sparse structure is
-  // real work on densified iterates. So under the exact policy every
-  // candidate first gets a cheap lower bound — the sparse one build-free
-  // (sparse_round_lower_bound) — and candidates are then costed for real
-  // in ascending-bound order, skipping any whose bound cannot beat (or,
-  // on a tie, out-prefer) the best actual so far, with the sparse plan's
-  // remaining phases aborted as soon as its partial sum loses. The skips
-  // are sound (actual rounds never undercut the bound) and preference-
-  // preserving, so the pick is provably the one the unabridged comparison
-  // makes; when a scheduled candidate IS chosen, the planning was free
-  // anyway — the real run replays the cached schedules. Under the Greedy
-  // policy scheduling is O(words), gating would save nothing, and the
-  // looser greedy rounds ARE the run's real cost — so every candidate is
-  // costed for real and Auto's model weighs the greedy scheduler's output
-  // directly.
-  const bool gate =
-      net.schedule_policy() == clique::SchedulePolicy::ExactKoenig;
+  // real work on densified iterates. So every candidate first gets a cheap
+  // lower bound — the sparse one build-free (sparse_round_lower_bound) —
+  // and candidates are then costed for real in ascending-bound order,
+  // skipping any whose bound cannot beat (or, on a tie, out-prefer) the
+  // best actual so far, with the sparse plan's remaining phases aborted as
+  // soon as its partial sum loses. The skips are sound (actual rounds
+  // never undercut the bound) and preference-preserving, so the pick is
+  // provably the one the unabridged comparison makes; when a scheduled
+  // candidate IS chosen, the planning was free anyway — the real run
+  // replays the cached schedules.
   const auto vw = [&](std::size_t c) { return codec.words_for(c); };
   const std::int64_t wpe = static_cast<std::int64_t>(codec.words_for(1));
   const std::int64_t naive_cost = 2 * static_cast<std::int64_t>(n) * wpe;
@@ -1750,18 +1701,15 @@ template <Semiring S, typename Codec>
   const bool sparse_adm =
       sparse_triple_count(n, s_rows, t_rows) <= sparse_plan_cap(n);
   const std::int64_t sparse_lb =
-      sparse_adm ? (gate ? sparse_round_lower_bound(n, s_rows, t_rows, vw)
-                         : 0)
-                 : kMax;
+      sparse_adm ? sparse_round_lower_bound(n, s_rows, t_rows, vw) : kMax;
   std::pair<std::vector<clique::Demand>, std::vector<clique::Demand>>
       steps3d;
   std::int64_t semi3d_lb = kMax;
   if (is_perfect_cube(n)) {
     const auto c2 = static_cast<std::size_t>(icbrt(n) * icbrt(n));
     steps3d = semiring3d_superstep_demands(n, codec.words_for(c2));
-    semi3d_lb = gate ? relay_round_lower_bound(n, steps3d.first) +
-                           relay_round_lower_bound(n, steps3d.second)
-                     : 0;
+    semi3d_lb = relay_round_lower_bound(n, steps3d.first) +
+                relay_round_lower_bound(n, steps3d.second);
   }
   std::vector<std::vector<clique::Demand>> stepsf;
   std::int64_t fast_lb = kMax;
@@ -1772,9 +1720,8 @@ template <Semiring S, typename Codec>
           codec.words_for(static_cast<std::size_t>(
               (isqrt(n) / fast_alg->d) * (isqrt(n) / fast_alg->d))));
       fast_lb = 0;
-      if (gate)
-        for (const auto& step : stepsf)
-          fast_lb += relay_round_lower_bound(n, step);
+      for (const auto& step : stepsf)
+        fast_lb += relay_round_lower_bound(n, step);
     }
   }
 
@@ -1809,27 +1756,19 @@ template <Semiring S, typename Codec>
             [](const Cand& a, const Cand& b) {
               return a.lb != b.lb ? a.lb < b.lb : a.pref < b.pref;
             });
-  // Wall tiebreak bookkeeping (see set_auto_wall_tiebreak): only armed for
-  // one-shot full-ownership dispatch with the toggle on, so the default
-  // path pays no clock reads and stays byte-identical.
-  const bool wall_tb = auto_wall_tiebreak() && ctx == nullptr &&
-                       net.owns_all();
-  std::int64_t actual_of[4] = {kMax, kMax, kMax, kMax};
   for (const auto& cand : cands) {
     if (cand.lb == kMax) continue;  // inadmissible
     if (cand.lb > best || (cand.lb == best && cand.pref > best_pref))
       continue;  // cannot win: actual >= bound, and ties keep preference
     std::int64_t actual = kMax;
-    const auto cost_t0 = wall_tb ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
     switch (cand.choice) {
       case AutoEngineChoice::Sparse:
         st = build_sparse_mm_structure(n, s_rows, t_rows, vw);
-        actual = sparse_planned_rounds(net, st, gate ? best : kMax);
+        actual = sparse_planned_rounds(net, st, best);
         break;
       case AutoEngineChoice::Semiring3D:
         actual = net.prepare_schedule(steps3d.first);
-        if (!gate || actual <= best)
+        if (actual <= best)
           actual += net.prepare_schedule(steps3d.second);
         else
           actual = kMax;
@@ -1838,7 +1777,7 @@ template <Semiring S, typename Codec>
         actual = 0;
         for (const auto& step : stepsf) {
           actual += net.prepare_schedule(step);
-          if (gate && actual > best) {
+          if (actual > best) {
             actual = kMax;
             break;
           }
@@ -1848,47 +1787,10 @@ template <Semiring S, typename Codec>
         actual = naive_cost;
         break;
     }
-    if (wall_tb) {
-      actual_of[cand.pref] = actual;
-      const auto sample = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - cost_t0)
-                              .count();
-      auto& slot = detail::auto_wall_ewma().ns[cand.pref];
-      const auto old = slot.load(std::memory_order_relaxed);
-      slot.store(old <= 0 ? sample : (3 * old + sample) / 4,
-                 std::memory_order_relaxed);
-    }
     if (actual < best || (actual == best && cand.pref < best_pref)) {
       best = actual;
       pick = cand.choice;
       best_pref = cand.pref;
-    }
-  }
-  if (wall_tb && best != kMax) {
-    // Among actually-costed candidates whose planned rounds land within 1
-    // of the winner, defer to the engine with the lower planning-wall
-    // history. Candidates with no history (EWMA 0) never displace the
-    // rounds winner, so the first few calls behave exactly as before.
-    static constexpr AutoEngineChoice kByPref[4] = {
-        AutoEngineChoice::Sparse, AutoEngineChoice::Semiring3D,
-        AutoEngineChoice::Fast, AutoEngineChoice::Naive};
-    std::int64_t best_wall = kMax;
-    int wall_pref = -1;
-    for (int p = 0; p < 4; ++p) {
-      if (actual_of[p] == kMax || actual_of[p] > best + 1) continue;
-      const auto w =
-          detail::auto_wall_ewma().ns[p].load(std::memory_order_relaxed);
-      if (w > 0 && w < best_wall) {
-        best_wall = w;
-        wall_pref = p;
-      }
-    }
-    if (wall_pref >= 0 && wall_pref != best_pref &&
-        detail::auto_wall_ewma().ns[best_pref].load(
-            std::memory_order_relaxed) > best_wall) {
-      best = actual_of[wall_pref];
-      best_pref = wall_pref;
-      pick = kByPref[wall_pref];
     }
   }
   if (chosen != nullptr) *chosen = pick;
@@ -2028,13 +1930,8 @@ template <Semiring S, typename Codec>
 
   // Candidate costs, gated exactly as in mm_semiring_auto: build-free
   // lower bounds first, then the actual plans in ascending-bound order
-  // with early abort, so under the exact policy the loser's Euler splits
-  // (and, when sparse loses on the bound alone, even its O(T) structure
-  // builds) are skipped. Under the Greedy policy both candidates are
-  // costed for real (bounds forced to 0, aborts off) — greedy scheduling
-  // is cheap and its looser rounds ARE the run's cost.
-  const bool gate =
-      net.schedule_policy() == clique::SchedulePolicy::ExactKoenig;
+  // with early abort, so the loser's Euler splits (and, when sparse loses
+  // on the bound alone, even its O(T) structure builds) are skipped.
   const auto vw = [&](std::size_t c) { return codec.words_for(c); };
   std::vector<SparseMmStructure> sts(batch);
   bool sparse_built = false;
@@ -2051,28 +1948,26 @@ template <Semiring S, typename Codec>
   std::int64_t sparse_lb = kMax;
   if (sparse_ok) {
     sparse_lb = 0;
-    if (gate) {
-      SparsePhaseVolumes vols(n);
-      std::int64_t live = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::int64_t rho_s = 0, rho_t = 0;
-        for (const auto& row : s_rows[b])
-          rho_s += static_cast<std::int64_t>(row.size());
-        for (const auto& row : t_rows[b])
-          rho_t += static_cast<std::int64_t>(row.size());
-        if (rho_s == 0 || rho_t == 0) continue;  // trivial: plans 0 rounds
-        ++live;
-        add_sparse_volume_lower_bound(n, s_rows[b], t_rows[b], vw, vols);
-      }
-      if (live > 0)
-        sparse_lb =
-            live +
-            relay_volume_lower_bound(n, vols.gather_out, vols.gather_in) +
-            relay_volume_lower_bound(n, vols.distribute_out,
-                                     vols.distribute_in) +
-            relay_volume_lower_bound(n, vols.contribute_out,
-                                     vols.contribute_in);
+    SparsePhaseVolumes vols(n);
+    std::int64_t live = 0;
+    for (std::size_t b = 0; b < batch; ++b) {
+      std::int64_t rho_s = 0, rho_t = 0;
+      for (const auto& row : s_rows[b])
+        rho_s += static_cast<std::int64_t>(row.size());
+      for (const auto& row : t_rows[b])
+        rho_t += static_cast<std::int64_t>(row.size());
+      if (rho_s == 0 || rho_t == 0) continue;  // trivial: plans 0 rounds
+      ++live;
+      add_sparse_volume_lower_bound(n, s_rows[b], t_rows[b], vw, vols);
     }
+    if (live > 0)
+      sparse_lb =
+          live +
+          relay_volume_lower_bound(n, vols.gather_out, vols.gather_in) +
+          relay_volume_lower_bound(n, vols.distribute_out,
+                                   vols.distribute_in) +
+          relay_volume_lower_bound(n, vols.contribute_out,
+                                   vols.contribute_in);
   }
   std::pair<std::vector<clique::Demand>, std::vector<clique::Demand>>
       steps3d;
@@ -2081,9 +1976,8 @@ template <Semiring S, typename Codec>
     const int c = static_cast<int>(icbrt(n));
     steps3d = semiring3d_superstep_demands(
         n, codec.words_for(static_cast<std::size_t>(c) * c), batch);
-    batch3d_lb = gate ? relay_round_lower_bound(n, steps3d.first) +
-                            relay_round_lower_bound(n, steps3d.second)
-                      : 0;
+    batch3d_lb = relay_round_lower_bound(n, steps3d.first) +
+                 relay_round_lower_bound(n, steps3d.second);
   }
   auto build_all = [&] {
     for (std::size_t b = 0; b < batch; ++b)
@@ -2115,18 +2009,18 @@ template <Semiring S, typename Codec>
   };
   auto eval_3d = [&](std::int64_t best_so_far) {
     batch3d = net.prepare_schedule(steps3d.first);
-    if (!gate || batch3d <= best_so_far)
+    if (batch3d <= best_so_far)
       batch3d += net.prepare_schedule(steps3d.second);
     else
       batch3d = kMax;
   };
   if (sparse_lb != kMax && sparse_lb <= batch3d_lb) {
     eval_sparse(kMax);
-    if (batch3d_lb <= sparse_total) eval_3d(gate ? sparse_total : kMax);
+    if (batch3d_lb <= sparse_total) eval_3d(sparse_total);
   } else if (batch3d_lb != kMax) {
     eval_3d(kMax);
     if (sparse_lb != kMax && sparse_lb <= batch3d)
-      eval_sparse(gate ? batch3d : kMax);
+      eval_sparse(batch3d);
   }
 
   if (sparse_total <= batch3d) {

@@ -234,7 +234,7 @@ TEST(FastMm, SublinearScalingAlongMatchedDepthFamily) {
   // rounds/n must decline sharply, and every size must beat the naive 2n.
   // (The ABSOLUTE crossover against the 3D algorithm needs n beyond
   // laptop-scale simulation for Strassen's sigma; the exponent ordering is
-  // the reproducible claim — see EXPERIMENTS.md.)
+  // the reproducible claim — see README.md, "Choosing an MmKind".)
   const IntRing ring;
   const I64Codec codec;
   double prev_norm = 1e9;

@@ -57,15 +57,18 @@ int main() {
   const IntRing ring;
   const I64Codec codec;
   clique::Network net(n);
-  core::AutoEngineChoice choice{};
-  const auto a2 = core::mm_semiring_auto(net, ring, codec, a, a, nullptr,
-                                         &choice);
+  // One context per product: each trace records the engine its call ran,
+  // and neither call inherits the other's densification lock.
+  core::MmDispatchContext first, second;
+  const auto a2 = core::mm_semiring_auto(net, ring, codec, a, a, &first);
   std::printf("  A * A   : %s, cumulative rounds %lld\n",
-              choice == core::AutoEngineChoice::Sparse ? "sparse" : "dense",
+              first.trace.back() == core::AutoEngineChoice::Sparse ? "sparse"
+                                                                   : "dense",
               static_cast<long long>(net.stats().rounds));
-  (void)core::mm_semiring_auto(net, ring, codec, a2, a2, nullptr, &choice);
+  (void)core::mm_semiring_auto(net, ring, codec, a2, a2, &second);
   std::printf("  A^2*A^2 : %s, cumulative rounds %lld\n",
-              choice == core::AutoEngineChoice::Sparse ? "sparse" : "dense",
+              second.trace.back() == core::AutoEngineChoice::Sparse ? "sparse"
+                                                                    : "dense",
               static_cast<long long>(net.stats().rounds));
   return 0;
 }

@@ -153,11 +153,10 @@ WitnessedProduct dp_semiring_witness_auto(clique::Network& net,
                                           const Matrix<std::int64_t>& s,
                                           const Matrix<std::int64_t>& t,
                                           MmDispatchContext* ctx) {
-  const WitnessMinPlus sr;
-  const WDistCodec codec;
-  return unpack_witnessed(mm_semiring_auto(net, sr, codec,
-                                           lift_with_witness(s), lift_plain(t),
-                                           nullptr, nullptr, nullptr, ctx));
+  auto res = dp_semiring_witness_batch_auto(
+      net, std::span<const Matrix<std::int64_t>>(&s, 1),
+      std::span<const Matrix<std::int64_t>>(&t, 1), ctx);
+  return std::move(res.front());
 }
 
 std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(
@@ -258,9 +257,8 @@ Matrix<std::int64_t> dp_ring_embedded(clique::Network& net,
   const auto et = embed(t);
   const auto prod =
       ctx != nullptr
-          ? mm_semiring_auto(net, ring, codec, es, et,
-                             net.owns_all() ? &alg : nullptr, nullptr,
-                             nullptr, ctx)
+          ? mm_semiring_auto(net, ring, codec, es, et, ctx,
+                             net.owns_all() ? &alg : nullptr)
           : mm_fast_bilinear(net, ring, codec, alg, es, et);
 
   Matrix<std::int64_t> out(n, n, kInf);

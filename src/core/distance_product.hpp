@@ -79,9 +79,10 @@ struct WitnessedProduct {
     clique::Network& net, const Matrix<std::int64_t>& s,
     const Matrix<std::int64_t>& t);
 
-/// nnz-adaptive witnessed product: one announcement of per-row finite
-/// counts, then whichever of the sparse / 3D witness engines plans fewer
-/// rounds runs (mm_semiring_auto under the witness semiring). `ctx`
+/// nnz-adaptive witnessed product: one announcement round of per-row
+/// finite counts, then whichever of the sparse / 3D witness engines plans
+/// fewer rounds runs — the batch-of-one instance of
+/// dp_semiring_witness_batch_auto. `ctx`
 /// (optional) carries the densification hysteresis and engine trace across
 /// iterated squarings — the hook apsp_semiring uses for per-iteration
 /// dispatch: sparse rounds while the iterate is mostly infinite, a single
@@ -100,9 +101,10 @@ struct WitnessedProduct {
     std::span<const Matrix<std::int64_t>> ts);
 
 /// Batched nnz-adaptive witnessed products through SHARED supersteps
-/// (mm_semiring_auto_batch under the witness semiring): one B-word
-/// announcement superstep, then either the batched sparse engine or the
-/// batched 3D engine for the whole batch. Element-identical to B
+/// (mm_semiring_auto_batch under the witness semiring): the per-row
+/// finite counts are announced through one charged broadcast per product
+/// (B rounds, no staged superstep), then either the batched sparse engine
+/// or the batched 3D engine runs the whole batch. Element-identical to B
 /// dp_semiring_witness calls; the engine under apsp_semiring_batch.
 [[nodiscard]] std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(
     clique::Network& net, std::span<const Matrix<std::int64_t>> ss,

@@ -76,9 +76,8 @@ Matrix<std::int64_t> IntMmEngine::multiply(clique::Network& net,
         // The bilinear candidate is full-ownership-only (its coefficient
         // combination reads every node's blocks), so a sharded dispatch
         // drops it — every rank plans the same candidate set either way.
-        return mm_semiring_auto(net, ring, codec, a, b,
-                                fast_ok_ && net.owns_all() ? &alg_ : nullptr,
-                                nullptr, nullptr, ctx);
+        return mm_semiring_auto(net, ring, codec, a, b, ctx,
+                                fast_ok_ && net.owns_all() ? &alg_ : nullptr);
     }
     return Matrix<std::int64_t>{};
   });

@@ -20,13 +20,15 @@ enum class MmKind {
   Fast,         ///< Section 2.2 with a Strassen tensor power (O(n^{0.288}))
   Semiring3D,   ///< Section 2.1 (O(n^{1/3}))
   Naive,        ///< everyone learns everything (O(n))
-  /// nnz-adaptive dispatch: one announcement round, then whichever of the
+  /// nnz-adaptive dispatch: one announcement round per product (a charged
+  /// broadcast of the per-row nonzero counts), then whichever of the
   /// sparse engine / Semiring3D / Fast (when the padded clique admits it) /
   /// Naive has the fewest planned rounds for the ANNOUNCED nonzero counts
-  /// runs (see mm_semiring_auto). The sparse choice reuses the announcement
-  /// as its own step 0, so sparse inputs cost exactly mm_semiring_sparse;
-  /// dense inputs cost the best dense engine plus the single announcement
-  /// round.
+  /// runs (see mm_semiring_auto_batch; a batch of B > 1 products chooses
+  /// between the batched sparse and 3D engines). The sparse choice reuses
+  /// the announcement as its own step 0, so sparse inputs cost exactly
+  /// mm_semiring_sparse(_batch); dense inputs cost the best dense engine
+  /// plus the announcement.
   Auto,
 };
 

@@ -364,6 +364,26 @@ std::int64_t relay_round_lower_bound(int n,
   return a + b;
 }
 
+namespace {
+
+/// Per-node volume accumulators for the build-free sparse lower bound: one
+/// (out, in) pair per staged sparse superstep; several products accumulate
+/// into one instance (merged supersteps add volumes per node).
+struct SparsePhaseVolumes {
+  explicit SparsePhaseVolumes(int n)
+      : gather_out(static_cast<std::size_t>(n), 0),
+        gather_in(static_cast<std::size_t>(n), 0),
+        distribute_out(static_cast<std::size_t>(n), 0),
+        distribute_in(static_cast<std::size_t>(n), 0),
+        contribute_out(static_cast<std::size_t>(n), 0),
+        contribute_in(static_cast<std::size_t>(n), 0) {}
+  std::vector<std::int64_t> gather_out, gather_in;
+  std::vector<std::int64_t> distribute_out, distribute_in;
+  std::vector<std::int64_t> contribute_out, contribute_in;
+};
+
+/// relay_round_lower_bound straight from per-node volume arrays (same
+/// divide-by-n soundness argument, no demand list materialised).
 std::int64_t relay_volume_lower_bound(int n,
                                       const std::vector<std::int64_t>& out,
                                       const std::vector<std::int64_t>& in) {
@@ -376,6 +396,8 @@ std::int64_t relay_volume_lower_bound(int n,
   return a + b;
 }
 
+/// Accumulate one product's per-node volume lower bounds for the three
+/// staged sparse supersteps into acc (see sparse_round_lower_bound_batch).
 void add_sparse_volume_lower_bound(
     int n, const SparsePattern& s_rows, const SparsePattern& t_rows,
     const std::function<std::size_t(std::size_t)>& value_words,
@@ -484,47 +506,33 @@ void add_sparse_volume_lower_bound(
   }
 }
 
-std::int64_t sparse_round_lower_bound(
-    int n, const SparsePattern& s_rows, const SparsePattern& t_rows,
+}  // namespace
+
+std::int64_t sparse_round_lower_bound_batch(
+    int n, std::span<const SparsePattern> s_rows,
+    std::span<const SparsePattern> t_rows,
     const std::function<std::size_t(std::size_t)>& value_words) {
-  std::int64_t rho_s = 0, rho_t = 0;
-  for (const auto& row : s_rows) rho_s += static_cast<std::int64_t>(row.size());
-  for (const auto& row : t_rows) rho_t += static_cast<std::int64_t>(row.size());
-  if (rho_s == 0 || rho_t == 0) return 0;  // trivial product plans 0 rounds
+  CCA_EXPECTS(t_rows.size() == s_rows.size());
+  const auto empty = [](const SparsePattern& p) {
+    return std::all_of(p.begin(), p.end(),
+                       [](const std::vector<int>& row) { return row.empty(); });
+  };
   SparsePhaseVolumes vols(n);
-  add_sparse_volume_lower_bound(n, s_rows, t_rows, value_words, vols);
-  return 1 + relay_volume_lower_bound(n, vols.gather_out, vols.gather_in) +
+  std::int64_t live = 0;
+  for (std::size_t b = 0; b < s_rows.size(); ++b) {
+    if (empty(s_rows[b]) || empty(t_rows[b]))
+      continue;  // trivial product: plans 0 rounds
+    ++live;
+    add_sparse_volume_lower_bound(n, s_rows[b], t_rows[b], value_words, vols);
+  }
+  if (live == 0) return 0;
+  return live + relay_volume_lower_bound(n, vols.gather_out, vols.gather_in) +
          relay_volume_lower_bound(n, vols.distribute_out, vols.distribute_in) +
          relay_volume_lower_bound(n, vols.contribute_out, vols.contribute_in);
 }
 
 std::int64_t sparse_plan_cap(int n) {
   return 4 * static_cast<std::int64_t>(n) * n * icbrt(n);
-}
-
-std::int64_t sparse_planned_rounds(clique::Network& net,
-                                   const SparseMmStructure& st,
-                                   std::int64_t abort_above) {
-  if (st.trivial) return 0;
-  // Volume bounds of the not-yet-scheduled phases gate each Euler split:
-  // an abort returns (exact scheduled prefix) + (volume bounds of the
-  // rest) — still a lower bound on the true total, and already above the
-  // threshold, so the caller's comparison is unchanged while the losing
-  // plan skips its remaining (host-expensive) splits. These bounds read
-  // the BUILT phase lists, so they are tighter than the build-free
-  // sparse_round_lower_bound the dispatcher used for the admission skip.
-  const int n = net.n();
-  const std::int64_t lb_d = relay_round_lower_bound(n, st.distribute);
-  const std::int64_t lb_c = relay_round_lower_bound(n, st.contribute);
-  std::int64_t acc = 1;
-  if (acc + relay_round_lower_bound(n, st.gather) + lb_d + lb_c >
-      abort_above)
-    return acc + relay_round_lower_bound(n, st.gather) + lb_d + lb_c;
-  acc += net.prepare_schedule(st.gather);
-  if (acc + lb_d + lb_c > abort_above) return acc + lb_d + lb_c;
-  acc += net.prepare_schedule(st.distribute);
-  if (acc + lb_c > abort_above) return acc + lb_c;
-  return acc + net.prepare_schedule(st.contribute);
 }
 
 namespace {
@@ -564,8 +572,13 @@ std::int64_t sparse_planned_rounds_batch(
   for (const auto& st : sts)
     if (!st.trivial) ++live;
   if (live == 0) return 0;
-  // Same per-phase volume gating as sparse_planned_rounds: abort values
-  // are exact-prefix + remaining volume bounds, sound and above threshold.
+  // Volume bounds of the not-yet-scheduled phases gate each Euler split:
+  // an abort returns (exact scheduled prefix) + (volume bounds of the
+  // rest) — still a lower bound on the true total, and already above the
+  // threshold, so the caller's comparison is unchanged while the losing
+  // plan skips its remaining (host-expensive) splits. These bounds read
+  // the BUILT phase lists, so they are tighter than the build-free
+  // sparse_round_lower_bound_batch the dispatcher used for the skip.
   const int n = net.n();
   const auto gather = merge_demands(sts, &SparseMmStructure::gather);
   const auto distribute = merge_demands(sts, &SparseMmStructure::distribute);

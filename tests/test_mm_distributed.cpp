@@ -1,8 +1,9 @@
 // Integration tests: distributed matrix multiplication (Sections 2.1/2.2)
 // against local reference products, across semirings, sizes, and engines —
 // plus socketpair'd P=2 runs pinning the ownership-generic engine layer
-// (sharded Auto dispatch, batched APSP, and fault injection under the
-// socket backend) bit-identical to the single-process arena oracle.
+// (sharded Auto dispatch, the sparse batch, batched APSP, and fault
+// injection under the socket backend) bit-identical to the single-process
+// arena oracle.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -388,6 +389,50 @@ TEST(SocketP2Engines, AutoBatchMatchesArenaOracleBitIdentically) {
     for (std::size_t b = 0; b < got.size(); ++b)
       expect_owned_rows_eq(got[b], oracle[b], net.owned(), r);
     EXPECT_EQ(ctx.trace, oracle_ctx.trace) << "rank " << r;
+    expect_stats_eq(net.stats(), oracle_net.stats(), r);
+  });
+}
+
+TEST(SocketP2Engines, SparseBatchMatchesArenaOracleBitIdentically) {
+  // The sparse front door under sharding: each rank announces its owned
+  // rows' nnz counts and repairs the non-owned pattern rows from the
+  // census, so both ranks build the oracle's plan. A non-cube clique — the
+  // sparse engine admits any n.
+  const int n = 10;
+  const IntRing ring;
+  const I64Codec codec;
+  auto sparse_matrix = [n](std::uint64_t seed) {
+    Rng rng(seed);
+    Matrix<std::int64_t> m(n, n, 0);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        if (rng.chance(1, 5)) m(i, j) = rng.next_in(1, 9);
+    return m;
+  };
+  std::vector<Matrix<std::int64_t>> as, bs;
+  for (int b = 0; b < 3; ++b) {
+    as.push_back(sparse_matrix(1000 + static_cast<std::uint64_t>(b)));
+    bs.push_back(sparse_matrix(1100 + static_cast<std::uint64_t>(b)));
+  }
+
+  clique::Network oracle_net(n);
+  const auto oracle = mm_semiring_sparse_batch(
+      oracle_net, ring, codec, std::span<const Matrix<std::int64_t>>(as),
+      std::span<const Matrix<std::int64_t>>(bs));
+  for (std::size_t b = 0; b < as.size(); ++b)
+    ASSERT_EQ(oracle[b], multiply(ring, as[b], bs[b])) << "product " << b;
+
+  auto [m0, m1] = paired_meshes();
+  std::shared_ptr<clique::SocketMesh> meshes[2] = {m0, m1};
+  run_ranks([&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    clique::Network net(n);
+    const auto got = mm_semiring_sparse_batch(
+        net, ring, codec, std::span<const Matrix<std::int64_t>>(as),
+        std::span<const Matrix<std::int64_t>>(bs));
+    ASSERT_EQ(got.size(), oracle.size());
+    for (std::size_t b = 0; b < got.size(); ++b)
+      expect_owned_rows_eq(got[b], oracle[b], net.owned(), r);
     expect_stats_eq(net.stats(), oracle_net.stats(), r);
   });
 }

@@ -123,6 +123,18 @@ core::SparsePattern pattern_of(const Matrix<std::int64_t>& m) {
   return core::sparse_pattern(IntRing{}, m);
 }
 
+/// The deterministic traffic fields (schedule-cache counters and wall-clock
+/// telemetry excluded).
+void expect_deterministic_stats_eq(const clique::TrafficStats& got,
+                                   const clique::TrafficStats& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.bound_rounds, want.bound_rounds);
+  EXPECT_EQ(got.supersteps, want.supersteps);
+  EXPECT_EQ(got.total_words, want.total_words);
+  EXPECT_EQ(got.max_node_send, want.max_node_send);
+  EXPECT_EQ(got.max_node_recv, want.max_node_recv);
+}
+
 Matrix<std::int64_t> random_sparse_matrix(int n, std::int64_t nnz,
                                           std::uint64_t seed,
                                           std::int64_t lo = 1,
@@ -290,31 +302,42 @@ TEST(SparsePlanner, RelayLowerBoundNeverExceedsSchedule) {
 }
 
 TEST(SparsePlanner, BuildFreeLowerBoundNeverExceedsPlannedRounds) {
-  // The build-free sparse_round_lower_bound is what the Auto dispatcher
-  // uses to SKIP building and scheduling a sparse plan; its soundness
-  // (never above the rounds the real plan would charge) is exactly what
-  // makes the skip safe. The bound internally quantises and aligns its
-  // per-pair charges with the same sparse_count_bucket / sparse_msg_align
-  // the builder uses — alignment is monotone, so the aligned underestimate
-  // stays below the real (aligned) message sizes.
+  // The build-free sparse_round_lower_bound_batch is what the Auto
+  // dispatcher uses to SKIP building and scheduling a sparse plan; its
+  // soundness (never above the rounds the real plan would charge) is
+  // exactly what makes the skip safe. The bound internally quantises and
+  // aligns its per-pair charges with the same sparse_count_bucket /
+  // sparse_msg_align the builder uses — alignment is monotone, so the
+  // aligned underestimate stays below the real (aligned) message sizes.
+  // Batches add per-node volumes across products, which must stay below
+  // the schedules of the MERGED demand lists.
   const I64Codec codec;
   const auto vw = [&](std::size_t c) { return codec.words_for(c); };
   int cases = 0;
-  for (const auto& [n, nnz_a, nnz_b, seed] :
-       {std::tuple{20, 60, 80, 101}, std::tuple{27, 200, 150, 102},
-        std::tuple{30, 400, 400, 103}, std::tuple{16, 16, 240, 104}}) {
-    const auto a = random_sparse_matrix(n, nnz_a, seed);
-    const auto b = random_sparse_matrix(n, nnz_b, seed + 1);
-    const auto sa = pattern_of(a);
-    const auto sb = pattern_of(b);
-    const auto lb = core::sparse_round_lower_bound(n, sa, sb, vw);
-    const auto st = core::build_sparse_mm_structure(n, sa, sb, vw);
+  for (const auto& [n, nnz_a, nnz_b, seed, batch] :
+       {std::tuple{20, 60, 80, 101, 1}, std::tuple{27, 200, 150, 102, 1},
+        std::tuple{30, 400, 400, 103, 1}, std::tuple{16, 16, 240, 104, 1},
+        std::tuple{27, 120, 100, 105, 3}}) {
+    std::vector<core::SparsePattern> sa, sb;
+    std::vector<core::SparseMmStructure> sts;
+    for (int b = 0; b < batch; ++b) {
+      const auto s = static_cast<std::uint64_t>(seed + 10 * b);
+      sa.push_back(pattern_of(random_sparse_matrix(n, nnz_a, s)));
+      sb.push_back(pattern_of(random_sparse_matrix(n, nnz_b, s + 1)));
+      sts.push_back(core::build_sparse_mm_structure(n, sa.back(), sb.back(),
+                                                    vw));
+    }
+    const auto lb = core::sparse_round_lower_bound_batch(
+        n, std::span<const core::SparsePattern>(sa),
+        std::span<const core::SparsePattern>(sb), vw);
     clique::Network net(n);
-    const auto planned = core::sparse_planned_rounds(net, st);
+    const auto planned = core::sparse_planned_rounds_batch(
+        net, std::span<const core::SparseMmStructure>(sts));
+    EXPECT_GT(lb, 0) << "n=" << n << " seed=" << seed;
     EXPECT_LE(lb, planned) << "n=" << n << " seed=" << seed;
     ++cases;
   }
-  EXPECT_EQ(cases, 4);
+  EXPECT_EQ(cases, 5);
 }
 
 TEST(SparsePlanner, QuantisedShapesRepeatAcrossInBucketDrift) {
@@ -694,12 +717,62 @@ TEST(SparseBatch, BatchOfOneIsTrafficIdenticalToSingleProduct) {
       std::span<const Matrix<std::int64_t>>(&b, 1));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], single);
-  EXPECT_EQ(net1.stats().rounds, net2.stats().rounds);
-  EXPECT_EQ(net1.stats().bound_rounds, net2.stats().bound_rounds);
-  EXPECT_EQ(net1.stats().supersteps, net2.stats().supersteps);
-  EXPECT_EQ(net1.stats().total_words, net2.stats().total_words);
-  EXPECT_EQ(net1.stats().max_node_send, net2.stats().max_node_send);
-  EXPECT_EQ(net1.stats().max_node_recv, net2.stats().max_node_recv);
+  expect_deterministic_stats_eq(net1.stats(), net2.stats());
+
+  // The same identity for the Auto dispatcher, cache counters and engine
+  // trace included.
+  clique::Network net3(n), net4(n);
+  core::MmDispatchContext ctx3, ctx4;
+  const auto auto_single =
+      core::mm_semiring_auto(net3, IntRing{}, I64Codec{}, a, b, &ctx3);
+  const auto auto_batch = core::mm_semiring_auto_batch(
+      net4, IntRing{}, I64Codec{},
+      std::span<const Matrix<std::int64_t>>(&a, 1),
+      std::span<const Matrix<std::int64_t>>(&b, 1), &ctx4);
+  ASSERT_EQ(auto_batch.size(), 1u);
+  EXPECT_EQ(auto_batch[0], auto_single);
+  EXPECT_EQ(auto_single, single);
+  expect_deterministic_stats_eq(net3.stats(), net4.stats());
+  EXPECT_EQ(net3.stats().schedule_hits, net4.stats().schedule_hits);
+  EXPECT_EQ(net3.stats().schedule_misses, net4.stats().schedule_misses);
+  EXPECT_EQ(ctx3.trace, ctx4.trace);
+  ASSERT_EQ(ctx3.trace.size(), 1u);
+  EXPECT_EQ(ctx3.trace[0], core::AutoEngineChoice::Sparse);
+}
+
+TEST(SparseBatch, AutoPickingSparseChargesExactlyTheSparseBatch) {
+  // The Auto dispatcher and the sparse front door share one announcement
+  // helper, so an Auto batch that picks the sparse engine moves exactly the
+  // sparse batch's traffic: same rounds AND same supersteps / words (the
+  // announcement is a charged broadcast, not a staged superstep).
+  const int n = 27;
+  const std::size_t batch = 3;
+  std::vector<Matrix<std::int64_t>> as, bs;
+  for (std::size_t b = 0; b < batch; ++b) {
+    as.push_back(random_sparse_matrix(n, 60, 800 + b));
+    bs.push_back(random_sparse_matrix(n, 60, 820 + b));
+  }
+  clique::Network net_auto(n), net_sparse(n);
+  core::MmDispatchContext ctx;
+  const auto got = core::mm_semiring_auto_batch(
+      net_auto, IntRing{}, I64Codec{},
+      std::span<const Matrix<std::int64_t>>(as),
+      std::span<const Matrix<std::int64_t>>(bs), &ctx);
+  const auto want = core::mm_semiring_sparse_batch(
+      net_sparse, IntRing{}, I64Codec{},
+      std::span<const Matrix<std::int64_t>>(as),
+      std::span<const Matrix<std::int64_t>>(bs));
+  ASSERT_EQ(ctx.trace.size(), 1u);
+  ASSERT_EQ(ctx.trace[0], core::AutoEngineChoice::Sparse);
+  EXPECT_EQ(got, want);
+  expect_deterministic_stats_eq(net_auto.stats(), net_sparse.stats());
+  // The dispatcher's planning warms the schedule cache, so its staged
+  // supersteps are hits where the direct call misses; the number of
+  // scheduled supersteps is the same.
+  EXPECT_EQ(net_auto.stats().schedule_hits + net_auto.stats().schedule_misses,
+            net_sparse.stats().schedule_hits +
+                net_sparse.stats().schedule_misses);
+  EXPECT_EQ(net_auto.stats().schedule_misses, 0);
 }
 
 TEST(SparseBatch, BatchOf8MatchesSequentialWithStrictlyFewerRounds) {
@@ -802,11 +875,9 @@ TEST(DensificationTrace, HysteresisSkipsTheAnnouncementRound) {
   clique::Network net(n), net_fixed(n);
   core::MmDispatchContext ctx;
   const I64Codec codec;
-  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, nullptr, nullptr,
-                               nullptr, &ctx);
+  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, &ctx);
   const auto first = net.stats().rounds;
-  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, nullptr, nullptr,
-                               nullptr, &ctx);
+  (void)core::mm_semiring_auto(net, IntRing{}, codec, a, a, &ctx);
   const auto second = net.stats().rounds - first;
   (void)core::mm_semiring_3d(net_fixed, IntRing{}, codec, a, a);
   EXPECT_EQ(first, net_fixed.stats().rounds + 1);

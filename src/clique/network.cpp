@@ -90,12 +90,35 @@ void Network::allgather_node_blocks(std::span<Word> data,
   transport_->allgather_blocks(data, offsets);
 }
 
+const Schedule& Network::cached_schedule(const std::vector<Demand>& demands,
+                                         bool* hit) {
+  const SplitGroup* group = nullptr;
+  if (!owns_all()) {
+    if (!shared_split_) {
+      shared_split_ = std::make_unique<SharedSplit>();
+      shared_split_->group = split_group(*transport_);
+      auto* shared = shared_split_.get();
+      shared->group.allgather = [shared, inner = shared->group.allgather](
+                                    std::span<Word> data,
+                                    std::span<const std::size_t> offsets) {
+        const auto t0 = wall_now_ns();
+        inner(data, offsets);
+        shared->wire_ns += wall_now_ns() - t0;
+      };
+    }
+    shared_split_->wire_ns = 0;
+    group = &shared_split_->group;
+  }
+  const auto t0 = wall_now_ns();
+  const auto& sched = schedule_cache_.get(n_, demands, hit, group);
+  stats_.schedule_wall_ns += wall_now_ns() - t0;
+  if (group != nullptr) stats_.schedule_wall_ns -= shared_split_->wire_ns;
+  return sched;
+}
+
 std::int64_t Network::prepare_schedule(const std::vector<Demand>& demands) {
   if (demands.empty()) return 0;
-  const auto t0 = wall_now_ns();
-  const auto rounds = schedule_cache_.get(n_, demands).rounds;
-  stats_.schedule_wall_ns += wall_now_ns() - t0;
-  return rounds;
+  return cached_schedule(demands, nullptr).rounds;
 }
 
 std::int64_t Network::route_rounds(Router router,
@@ -116,9 +139,7 @@ std::int64_t Network::route_rounds(Router router,
       // O(words * log maxdeg) class sequence once per shape.
       if (demands.empty()) return 0;
       bool hit = false;
-      const auto t0 = wall_now_ns();
-      const auto rounds = schedule_cache_.get(n_, demands, &hit).rounds;
-      stats_.schedule_wall_ns += wall_now_ns() - t0;
+      const auto rounds = cached_schedule(demands, &hit).rounds;
       if (hit)
         ++stats_.schedule_hits;
       else

@@ -89,7 +89,9 @@ struct TrafficStats {
   /// Host wall-clock nanoseconds spent INSIDE the relay scheduler (cache
   /// lookups included) by deliver() and prepare_schedule(). Pure telemetry —
   /// it measures the simulator's own planning cost, never the simulated
-  /// rounds — and machine-dependent like recovery_wall_ns.
+  /// rounds — and machine-dependent like recovery_wall_ns. Under a sharded
+  /// transport the shared split's side-channel exchanges are transport
+  /// time and are left out.
   std::int64_t schedule_wall_ns = 0;
   /// Fault events injected by the installed FaultPlan: drops, corruptions,
   /// duplicates, straggling nodes, and crash detections, summed over every
@@ -333,6 +335,13 @@ class Network {
   [[nodiscard]] std::int64_t route_rounds(Router router,
                                           const std::vector<Demand>& demands);
 
+  /// The Koenig schedule for `demands` from the cache, timed into
+  /// schedule_wall_ns. Under a sharded transport a miss runs the split
+  /// shared over the ranks; its side-channel exchanges are transport time,
+  /// so they are left out of schedule_wall_ns.
+  const Schedule& cached_schedule(const std::vector<Demand>& demands,
+                                  bool* hit);
+
   /// The schedule-independent per-superstep lower bound for these volumes.
   [[nodiscard]] std::int64_t volume_bound_rounds(
       const std::vector<std::int64_t>& sent_by,
@@ -359,6 +368,15 @@ class Network {
   // the deterministic KoenigRelay discipline consults it; RandomRelay is
   // seed-dependent and bypasses it by construction.
   ScheduleCache schedule_cache_;
+
+  // The ranks a sharded transport's schedule misses share their split
+  // with, learned on the first miss, and the wall time of the group's
+  // exchanges. Heap-held: the group's allgather points back at wire_ns.
+  struct SharedSplit {
+    SplitGroup group;
+    std::int64_t wire_ns = 0;
+  };
+  std::unique_ptr<SharedSplit> shared_split_;
 
   // Fault layer state: the installed plan (if any) and the deterministic
   // clock its coins are keyed by.

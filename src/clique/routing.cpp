@@ -622,15 +622,17 @@ class SplitEngine {
   std::vector<std::size_t> log_bounds_;
 };
 
-/// Default Euler-split task count: serial when the worker group is one
-/// thread (the CCA_THREADS=1 CI leg runs the pure-serial recursion), two
-/// concrete tasks per worker otherwise so the block partition stays
-/// balanced when subtree sizes skew.
-int default_split_tasks() {
-  const int workers = parallel_workers();
+/// Euler-split task count for `workers` parties: serial for one (the
+/// CCA_THREADS=1 CI leg runs the pure-serial recursion), two concrete
+/// tasks per party otherwise so the deal stays balanced when subtree sizes
+/// skew. In process the parties are the pool's workers; in a shared split
+/// they are the ranks.
+int split_tasks_for(int workers) {
   if (workers <= 1) return 1;
   return std::min(64, 2 * workers);
 }
+
+int default_split_tasks() { return split_tasks_for(parallel_workers()); }
 
 /// Smallest number of real (non-collapsing) splits whose full frontier
 /// holds >= `tasks` subtrees.
@@ -684,20 +686,54 @@ class KoenigColouring {
     }
     tasks_ = static_cast<int>(tasks.size());
     grow_engines(tasks.size());
-    parallel_for(0, tasks_, [&](int t) {
-      auto& task = tasks[static_cast<std::size_t>(t)];
-      std::int64_t words = 0;
-      if (task.packed)
-        words = static_cast<std::int64_t>(task.packed_edges.size());
-      else
-        for (const auto& e : task.edges) words += e.count;
-      auto& eng = engines_[static_cast<std::size_t>(t)];
-      eng.reset_log(words);
-      eng.run(std::move(task));
-      eng.drop_scratch();
-    });
+    parallel_for(0, tasks_, [&](int t) { run_task(tasks, t); });
+    task_classes_.resize(tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+      task_classes_[t] = static_cast<std::int64_t>(engines_[t].classes());
     lay_out(0);
     if (total_colours_ > 0) parallel_for(0, n_, [&](int mid) { replay(mid); });
+  }
+
+  /// The split shared by the ranks of `group` (see the SplitGroup overload
+  /// of schedule_koenig_relay). Every rank expands the same frontier; rank
+  /// r runs the tasks t with t mod P == r. An allgather of the per-task
+  /// class counts gives every rank the same layout, and a second one of
+  /// each rank's partial load rows gives every rank the same loads.
+  KoenigColouring(int n, std::vector<Edge> edges, const SplitGroup& group)
+      : n_(n),
+        load_a_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
+        load_b_(load_a_.size()),
+        tree_(1) {
+    const int procs = group.nprocs;
+    auto tasks =
+        expand(std::move(edges), expansion_depth_for(split_tasks_for(procs)));
+    tasks_ = static_cast<int>(tasks.size());
+    grow_engines(tasks.size());
+    const auto dealt = [&](int q) {  // tasks of rank q: q, q + P, ...
+      return q < tasks_ ? (tasks_ - q + procs - 1) / procs : 0;
+    };
+    parallel_for(0, dealt(group.rank),
+                 [&](int i) { run_task(tasks, group.rank + i * procs); });
+
+    // Class counts, one block per rank in its task order.
+    std::vector<std::size_t> offsets(static_cast<std::size_t>(procs) + 1, 0);
+    for (int q = 0; q < procs; ++q)
+      offsets[static_cast<std::size_t>(q) + 1] =
+          offsets[static_cast<std::size_t>(q)] +
+          static_cast<std::size_t>(dealt(q));
+    std::vector<std::uint64_t> counts(tasks.size(), 0);
+    for (int i = 0; i < dealt(group.rank); ++i)
+      counts[offsets[static_cast<std::size_t>(group.rank)] +
+             static_cast<std::size_t>(i)] =
+          engines_[static_cast<std::size_t>(group.rank + i * procs)].classes();
+    group.allgather(counts, offsets);
+    task_classes_.resize(tasks.size());
+    for (int t = 0; t < tasks_; ++t)
+      task_classes_[static_cast<std::size_t>(t)] = static_cast<std::int64_t>(
+          counts[offsets[static_cast<std::size_t>(t % procs)] +
+                 static_cast<std::size_t>(t / procs)]);
+    lay_out(0);
+    share_loads(group);
   }
 
   [[nodiscard]] std::int64_t total_colours() const noexcept {
@@ -742,6 +778,20 @@ class KoenigColouring {
 
   void grow_engines(std::size_t count) {
     while (engines_.size() < count) engines_.emplace_back(n_);
+  }
+
+  /// Run task t's whole subtree on engine t, keeping only its class log.
+  void run_task(std::vector<SplitTask>& tasks, int t) {
+    auto& task = tasks[static_cast<std::size_t>(t)];
+    std::int64_t words = 0;
+    if (task.packed)
+      words = static_cast<std::int64_t>(task.packed_edges.size());
+    else
+      for (const auto& e : task.edges) words += e.count;
+    auto& eng = engines_[static_cast<std::size_t>(t)];
+    eng.reset_log(words);
+    eng.run(std::move(task));
+    eng.drop_scratch();
   }
 
   /// Expand the top of the split recursion level by level until every
@@ -804,8 +854,7 @@ class KoenigColouring {
   void lay_out(int node) {
     const auto& t = tree_[static_cast<std::size_t>(node)];
     if (t.task >= 0) {
-      const auto classes = static_cast<std::int64_t>(
-          engines_[static_cast<std::size_t>(t.task)].classes());
+      const auto classes = task_classes_[static_cast<std::size_t>(t.task)];
       if (classes > 0) segments_.push_back({t.task, total_colours_});
       total_colours_ += classes;
       return;
@@ -856,9 +905,83 @@ class KoenigColouring {
     }
   }
 
+  /// The intermediate class t goes through.
+  [[nodiscard]] std::int64_t mid_of(std::int64_t t) const noexcept {
+    return t * n_ / total_colours_;
+  }
+
+  /// The shared split's load exchange. Each segment contributes the load
+  /// rows of the intermediates its classes go through, a-row then b-row per
+  /// intermediate; its owner replays them, and a rank's block is its
+  /// segments' contributions in class order. Segments are contiguous class
+  /// ranges, so the rows of all contributions number about n plus one per
+  /// segment: every rank moves about 2n^2/P words, no more than a
+  /// reduce-scatter of the load rows would, in one collective. Every rank
+  /// then sums every contribution onto the full load matrices.
+  void share_loads(const SplitGroup& group) {
+    const int procs = group.nprocs;
+    const auto row_words = 2 * static_cast<std::size_t>(n_);
+    const auto rows_of = [&](const Segment& seg) {
+      const auto last =
+          seg.first + task_classes_[static_cast<std::size_t>(seg.task)] - 1;
+      return static_cast<std::size_t>(mid_of(last) - mid_of(seg.first) + 1);
+    };
+    std::vector<std::size_t> offsets(static_cast<std::size_t>(procs) + 1, 0);
+    std::vector<std::size_t> at(segments_.size());
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      auto& end = offsets[static_cast<std::size_t>(segments_[s].task % procs) + 1];
+      at[s] = end;
+      end += rows_of(segments_[s]) * row_words;
+    }
+    for (int q = 0; q < procs; ++q)
+      offsets[static_cast<std::size_t>(q) + 1] +=
+          offsets[static_cast<std::size_t>(q)];
+    for (std::size_t s = 0; s < segments_.size(); ++s)
+      at[s] += offsets[static_cast<std::size_t>(segments_[s].task % procs)];
+
+    std::vector<std::uint64_t> rows(offsets.back(), 0);
+    std::vector<int> mine;
+    for (std::size_t s = 0; s < segments_.size(); ++s)
+      if (segments_[s].task % procs == group.rank)
+        mine.push_back(static_cast<int>(s));
+    parallel_for(0, static_cast<int>(mine.size()), [&](int i) {
+      const auto s = static_cast<std::size_t>(mine[static_cast<std::size_t>(i)]);
+      const Segment& seg = segments_[s];
+      const auto& eng = engines_[static_cast<std::size_t>(seg.task)];
+      const auto lo = mid_of(seg.first);
+      for (std::size_t c = 0; c < eng.classes(); ++c) {
+        const auto mid = mid_of(seg.first + static_cast<std::int64_t>(c));
+        auto* la = rows.data() + at[s] +
+                   static_cast<std::size_t>(mid - lo) * row_words;
+        auto* lb = la + n_;
+        for (const auto e : eng.class_edges(c)) {
+          ++la[e >> 16];
+          ++lb[e & 0xffffu];
+        }
+      }
+    });
+    group.allgather(rows, offsets);
+
+    for (std::size_t s = 0; s < segments_.size(); ++s) {
+      const auto* src = rows.data() + at[s];
+      const auto lo = static_cast<std::size_t>(mid_of(segments_[s].first));
+      const auto nn = static_cast<std::size_t>(n_);
+      for (std::size_t r = 0; r < rows_of(segments_[s]); ++r) {
+        auto* la = load_a_.data() + (lo + r) * nn;
+        auto* lb = load_b_.data() + (lo + r) * nn;
+        for (std::size_t v = 0; v < nn; ++v) {
+          la[v] += static_cast<std::int64_t>(src[v]);
+          lb[v] += static_cast<std::int64_t>(src[nn + v]);
+        }
+        src += row_words;
+      }
+    }
+  }
+
   int n_;
   std::int64_t total_colours_ = 0;
   int tasks_ = 0;
+  std::vector<std::int64_t> task_classes_;  ///< classes logged per task
   std::vector<std::int64_t> load_a_;  ///< intermediate-major: [mid][src]
   std::vector<std::int64_t> load_b_;  ///< intermediate-major: [mid][dst]
   std::vector<SplitEngine> engines_;   ///< one per frontier node / task
@@ -946,6 +1069,21 @@ Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands,
   return sched;
 }
 
+Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands,
+                               const SplitGroup& group) {
+  CCA_EXPECTS(n >= 1);
+  CCA_EXPECTS(group.nprocs >= 1 && group.rank >= 0 &&
+              group.rank < group.nprocs);
+  Schedule sched;
+  auto edges = demand_edges(n, demands, &sched.words);
+  if (edges.empty()) return sched;
+
+  const KoenigColouring colouring(n, std::move(edges), group);
+  sched.rounds = colouring.rounds();
+  sched.classes = colouring.total_colours();
+  return sched;
+}
+
 std::vector<std::vector<std::pair<int, int>>> koenig_relay_classes(
     int n, const std::vector<Demand>& demands, int split_tasks) {
   CCA_EXPECTS(n >= 1);
@@ -994,7 +1132,7 @@ std::uint64_t demand_fingerprint(int n, const std::vector<Demand>& demands) {
 }
 
 const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,
-                                   bool* hit) {
+                                   bool* hit, const SplitGroup* group) {
   const auto key = demand_fingerprint(n, demands);
   if (const auto it = map_.find(key); it != map_.end()) {
     for (const auto eit : it->second)
@@ -1010,7 +1148,9 @@ const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,
 
   evict_to_fit(demands.size());
 
-  Schedule sched = schedule_koenig_relay(n, demands);
+  Schedule sched = group != nullptr
+                       ? schedule_koenig_relay(n, demands, *group)
+                       : schedule_koenig_relay(n, demands);
   cached_demands_ += demands.size();
   lru_.push_front(Entry{n, demands, sched, key});
   map_[key].push_back(lru_.begin());

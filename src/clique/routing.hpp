@@ -12,8 +12,10 @@
 //      - hash:   block (src,dst) starts at a deterministic hashed offset and
 //                wraps round-robin (oblivious, O(1) for balanced loads);
 //      - random: like hash with a random start (Valiant-style);
-//      - koenig: Euler-split edge colouring of the demand multigraph; colour
-//                class t uses intermediate t mod n. This is a constructive
+//      - koenig: Euler-split edge colouring of the demand multigraph; the C
+//                colour classes go to intermediates in contiguous blocks,
+//                class t through node floor(t*n/C), so every intermediate
+//                carries at most ceil(C/n) classes. This is a constructive
 //                Koenig decomposition and yields near-optimal deterministic
 //                schedules for arbitrary demands — the executable counterpart
 //                of Lenzen's routing theorem [46] and of the oblivious routing
@@ -25,8 +27,11 @@
 // and the routing benchmarks can compare disciplines.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -104,6 +109,32 @@ struct Schedule {
                                              const std::vector<Demand>& demands,
                                              int split_tasks);
 
+/// The ranks of a sharded transport that share one Euler split. `allgather`
+/// is their uncharged side channel: `offsets` holds nprocs + 1 ascending
+/// entries cutting `data` into one block per rank; on entry each rank has
+/// filled block `rank`, on return every rank holds every block. Every rank
+/// calls it in lockstep with identical offsets.
+struct SplitGroup {
+  int rank = 0;
+  int nprocs = 1;
+  std::function<void(std::span<std::uint64_t> data,
+                     std::span<const std::size_t> offsets)>
+      allgather;
+};
+
+/// The Euler split shared by the ranks of `group`, which all call this in
+/// lockstep on the same list. Every rank expands the same frontier into
+/// about 2 * nprocs subtree tasks (a pure function of nprocs, so every rank
+/// cuts the same frontier whatever its thread count) and runs only the tasks
+/// t with t mod nprocs == rank. Two allgathers follow: the per-task class
+/// counts, from which every rank lays out the same global class offsets,
+/// then each rank's partial load rows, replayed from its own tasks' classes
+/// and summed on every rank. Integer sums do not depend on order, so every
+/// rank returns the Schedule the in-process overloads return.
+[[nodiscard]] Schedule schedule_koenig_relay(int n,
+                                             const std::vector<Demand>& demands,
+                                             const SplitGroup& group);
+
 /// Test/diagnostic introspection: the concrete colour classes of a relay
 /// schedule, each class a list of (src, dst) word-ports. A legal schedule
 /// has every class a partial matching on ports (no src and no dst twice
@@ -149,9 +180,11 @@ class ScheduleCache {
   /// The Koenig schedule for this demand list; computed and inserted on
   /// miss. The reference stays valid until the next get() call.
   /// When `hit` is non-null it receives whether this lookup was served from
-  /// the cache (the same fact the internal stats counters record).
+  /// the cache (the same fact the internal stats counters record). A
+  /// non-null `group` computes a miss with the shared split over its ranks
+  /// (same Schedule, so hits and misses stay identical on every rank).
   const Schedule& get(int n, const std::vector<Demand>& demands,
-                      bool* hit = nullptr);
+                      bool* hit = nullptr, const SplitGroup* group = nullptr);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t entries() const noexcept { return lru_.size(); }

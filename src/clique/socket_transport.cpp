@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -214,94 +215,169 @@ std::shared_ptr<SocketMesh> SocketMesh::connect_tcp(int rank, int nprocs,
   return std::make_shared<SocketMesh>(rank, nprocs, std::move(fds));
 }
 
+void SocketMesh::exchange_all(std::span<const std::span<const std::byte>> out,
+                              std::span<std::vector<std::byte>> in) {
+  CCA_EXPECTS(static_cast<int>(out.size()) == nprocs_ &&
+              static_cast<int>(in.size()) == nprocs_);
+  std::vector<Link> links;
+  links.reserve(static_cast<std::size_t>(nprocs_));
+  for (int q = 0; q < nprocs_; ++q)
+    if (q != rank_)
+      links.push_back({q, out[static_cast<std::size_t>(q)],
+                       &in[static_cast<std::size_t>(q)]});
+  pump(links);
+}
+
 void SocketMesh::exchange(int peer, std::span<const std::byte> out,
                           std::span<std::byte> in) {
   CCA_EXPECTS(peer >= 0 && peer < nprocs_ && peer != rank_);
-  const int fd = fds_[static_cast<std::size_t>(peer)];
-  const auto seq = seq_[static_cast<std::size_t>(peer)]++;
+  std::vector<std::byte> got;
+  const Link link{peer, out, &got};
+  pump({&link, 1});
+  if (got.size() != in.size())
+    throw std::runtime_error("SocketMesh: frame from rank " +
+                             std::to_string(peer) + " has " +
+                             std::to_string(got.size()) + " bytes, want " +
+                             std::to_string(in.size()));
+  if (!got.empty()) std::memcpy(in.data(), got.data(), got.size());
+}
 
-  FrameHeader shdr{kFrameMagic, seq, out.size()};
-  FrameHeader rhdr{};
-  std::size_t sent = 0;                      // bytes of header+payload written
-  std::size_t rcvd = 0;                      // bytes of header+payload read
-  const std::size_t send_total = sizeof(shdr) + out.size();
-  const std::size_t recv_total = sizeof(rhdr) + in.size();
-
-  auto send_chunk = [&]() {
-    const void* p;
-    std::size_t len;
-    if (sent < sizeof(shdr)) {
-      p = reinterpret_cast<const std::byte*>(&shdr) + sent;
-      len = sizeof(shdr) - sent;
-    } else {
-      p = out.data() + (sent - sizeof(shdr));
-      len = out.size() - (sent - sizeof(shdr));
-    }
-    const auto w = ::write(fd, p, len);
-    if (w > 0)
-      sent += static_cast<std::size_t>(w);
-    else if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-             errno != EINTR)
-      sys_fail("write");
+void SocketMesh::pump(std::span<const Link> links) {
+  struct State {
+    int fd;
+    FrameHeader shdr;
+    FrameHeader rhdr;
+    std::size_t sent;  // header + body bytes written
+    std::size_t rcvd;  // header + body bytes read
   };
-  auto recv_chunk = [&]() {
-    void* p;
-    std::size_t len;
-    if (rcvd < sizeof(rhdr)) {
-      p = reinterpret_cast<std::byte*>(&rhdr) + rcvd;
-      len = sizeof(rhdr) - rcvd;
-    } else {
-      p = in.data() + (rcvd - sizeof(rhdr));
-      len = in.size() - (rcvd - sizeof(rhdr));
-    }
-    const auto r = ::read(fd, p, len);
-    if (r > 0)
-      rcvd += static_cast<std::size_t>(r);
-    else if (r == 0)
-      throw std::runtime_error("SocketMesh: peer closed mid-exchange");
-    else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
-      sys_fail("read");
-    if (rcvd >= sizeof(rhdr)) {
-      // Validate the header as soon as it is complete — a mismatched frame
-      // means the two ranks' deterministic programs diverged.
-      if (rhdr.magic != kFrameMagic || rhdr.seq != seq ||
-          rhdr.bytes != in.size())
-        throw std::runtime_error(
-            "SocketMesh: frame mismatch from rank " + std::to_string(peer) +
-            " (seq " + std::to_string(rhdr.seq) + " want " +
-            std::to_string(seq) + ", bytes " + std::to_string(rhdr.bytes) +
-            " want " + std::to_string(in.size()) + ")");
-    }
+  std::vector<State> st(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const auto q = static_cast<std::size_t>(links[i].peer);
+    st[i] = {fds_[q], {kFrameMagic, seq_[q]++, links[i].out.size()}, {}, 0, 0};
+  }
+  const auto send_total = [&](std::size_t i) {
+    return sizeof(FrameHeader) + links[i].out.size();
+  };
+  // The body length is known once the header is in.
+  const auto recv_total = [&](std::size_t i) {
+    return st[i].rcvd < sizeof(FrameHeader)
+               ? sizeof(FrameHeader)
+               : sizeof(FrameHeader) + st[i].rhdr.bytes;
   };
 
-  // Full-duplex pump: both directions progress under one poll loop, so the
-  // pairwise exchange can never deadlock on a full send buffer.
-  while (sent < send_total || rcvd < recv_total) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = 0;
-    pfd.revents = 0;
-    if (rcvd < recv_total) pfd.events |= POLLIN;
-    if (sent < send_total) pfd.events |= POLLOUT;
-    const int pr = ::poll(&pfd, 1, -1);
-    if (pr < 0) {
+  // Write until the socket buffer is full; the header and the body go out
+  // in one writev.
+  const auto send_some = [&](std::size_t i) {
+    auto& s = st[i];
+    const auto body = links[i].out;
+    while (s.sent < send_total(i)) {
+      iovec iov[2];
+      int cnt = 0;
+      if (s.sent < sizeof(FrameHeader))
+        iov[cnt++] = {reinterpret_cast<std::byte*>(&s.shdr) + s.sent,
+                      sizeof(FrameHeader) - s.sent};
+      const auto body_at = s.sent < sizeof(FrameHeader)
+                               ? std::size_t{0}
+                               : s.sent - sizeof(FrameHeader);
+      if (body_at < body.size())
+        iov[cnt++] = {const_cast<std::byte*>(body.data()) + body_at,
+                      body.size() - body_at};
+      const auto w = ::writev(s.fd, iov, cnt);
+      if (w > 0) {
+        s.sent += static_cast<std::size_t>(w);
+        continue;
+      }
+      if (w < 0 && errno == EINTR) continue;
+      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      sys_fail("writev");
+    }
+  };
+  // Read until the socket is drained or the frame is complete.
+  const auto recv_some = [&](std::size_t i) {
+    auto& s = st[i];
+    auto& body = *links[i].in;
+    while (s.rcvd < recv_total(i)) {
+      std::byte* p;
+      std::size_t len;
+      if (s.rcvd < sizeof(FrameHeader)) {
+        p = reinterpret_cast<std::byte*>(&s.rhdr) + s.rcvd;
+        len = sizeof(FrameHeader) - s.rcvd;
+      } else {
+        p = body.data() + (s.rcvd - sizeof(FrameHeader));
+        len = recv_total(i) - s.rcvd;
+      }
+      const auto r = ::read(s.fd, p, len);
+      if (r == 0)
+        throw std::runtime_error("SocketMesh: peer " +
+                                 std::to_string(links[i].peer) +
+                                 " closed mid-exchange");
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        sys_fail("read");
+      }
+      const bool had_header = s.rcvd >= sizeof(FrameHeader);
+      s.rcvd += static_cast<std::size_t>(r);
+      if (!had_header && s.rcvd >= sizeof(FrameHeader)) {
+        // A mismatched header means the two ranks' deterministic programs
+        // diverged.
+        if (s.rhdr.magic != kFrameMagic || s.rhdr.seq != s.shdr.seq)
+          throw std::runtime_error(
+              "SocketMesh: frame mismatch from rank " +
+              std::to_string(links[i].peer) + " (seq " +
+              std::to_string(s.rhdr.seq) + " want " +
+              std::to_string(s.shdr.seq) + ")");
+        body.resize(s.rhdr.bytes);
+      }
+    }
+  };
+
+  // Full-duplex pump over every link: each direction of each peer
+  // progresses whenever its socket is ready, so no peer's send order can
+  // deadlock the mesh.
+  std::vector<pollfd> pfds(links.size());
+  for (;;) {
+    bool open = false;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      pfds[i].events = 0;
+      pfds[i].revents = 0;
+      if (st[i].rcvd < recv_total(i)) pfds[i].events |= POLLIN;
+      if (st[i].sent < send_total(i)) pfds[i].events |= POLLOUT;
+      // poll() skips negative fds: finished links drop out of the set.
+      pfds[i].fd = pfds[i].events != 0 ? st[i].fd : -1;
+      open = open || pfds[i].events != 0;
+    }
+    if (!open) return;
+    if (::poll(pfds.data(), pfds.size(), -1) < 0) {
       if (errno == EINTR) continue;
       sys_fail("poll");
     }
-    if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-        (pfd.revents & POLLIN) == 0)
-      throw std::runtime_error("SocketMesh: connection error");
-    if ((pfd.revents & POLLOUT) != 0 && sent < send_total) send_chunk();
-    if ((pfd.revents & POLLIN) != 0 && rcvd < recv_total) recv_chunk();
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const auto rev = pfds[i].revents;
+      if ((rev & (POLLERR | POLLHUP | POLLNVAL)) != 0 && (rev & POLLIN) == 0)
+        throw std::runtime_error("SocketMesh: connection error with rank " +
+                                 std::to_string(links[i].peer));
+      if ((rev & POLLOUT) != 0) send_some(i);
+      if ((rev & POLLIN) != 0) recv_some(i);
+    }
   }
 }
 
 SocketTransport::SocketTransport(int n, std::shared_ptr<SocketMesh> mesh)
     : ArenaTransport(n), mesh_(std::move(mesh)) {
   CCA_VALIDATE(mesh_ != nullptr, "mesh must not be null");
-  CCA_VALIDATE(mesh_->nprocs() <= n,
+  const int procs = mesh_->nprocs();
+  CCA_VALIDATE(procs <= n,
                "P <= n required: every rank must own at least one node");
-  own_ = shard_span(n, mesh_->nprocs(), mesh_->rank());
+  own_ = shard_span(n, procs, mesh_->rank());
+  rank_of_.resize(static_cast<std::size_t>(n));
+  for (int q = 0; q < procs; ++q) {
+    shards_.push_back(shard_span(n, procs, q));
+    for (NodeId v = shards_.back().begin; v < shards_.back().end; ++v)
+      rank_of_[static_cast<std::size_t>(v)] = q;
+  }
+  sbuf_.resize(static_cast<std::size_t>(procs));
+  rbuf_.resize(static_cast<std::size_t>(procs));
 }
 
 TransportScope::Factory SocketTransport::factory(
@@ -326,91 +402,108 @@ DeliverySummary SocketTransport::deliver() {
   check_phase_change_serial("deliver");
   count_staged_words();
 
-  const int P = mesh_->nprocs();
   const int me = mesh_->rank();
-  // Step 1: count all-gather. Each rank's owned source rows of the count
-  // matrix are one contiguous block (pair_words_ is src-major); after the
-  // ascending-peer exchange every rank holds the identical global counts
-  // and derives the identical canonical demand list below.
   const auto nn = static_cast<std::size_t>(n());
-  for (int q = 0; q < P; ++q) {
+  const auto rows_bytes = [&](NodeSpan s) {
+    return static_cast<std::size_t>(s.size()) * nn * sizeof(std::size_t);
+  };
+  // The frame for peer q: my owned count rows (pair_words_ is src-major, so
+  // they are one contiguous block), then the words my sources staged for
+  // q's destinations, (dst asc, src asc). at[src - own.begin][dst] is where
+  // the (src, dst) run goes in its frame.
+  const auto* my_rows = reinterpret_cast<const std::byte*>(
+      pair_words_.data() + static_cast<std::size_t>(own_.begin) * nn);
+  std::vector<std::size_t> at(static_cast<std::size_t>(own_.size()) * nn);
+  for (int q = 0; q < mesh_->nprocs(); ++q) {
     if (q == me) continue;
-    const auto qs = shard_span(n(), P, q);
-    const auto mine = std::span<std::size_t>(
-        pair_words_.data() + static_cast<std::size_t>(own_.begin) * nn,
-        static_cast<std::size_t>(own_.size()) * nn);
-    const auto theirs = std::span<std::size_t>(
-        pair_words_.data() + static_cast<std::size_t>(qs.begin) * nn,
-        static_cast<std::size_t>(qs.size()) * nn);
-    mesh_->exchange(q, std::as_bytes(mine), std::as_writable_bytes(theirs));
+    std::size_t end = rows_bytes(own_);
+    for (NodeId dst = shards_[static_cast<std::size_t>(q)].begin;
+         dst < shards_[static_cast<std::size_t>(q)].end; ++dst)
+      for (NodeId src = own_.begin; src < own_.end; ++src) {
+        const auto d = static_cast<std::size_t>(dst);
+        at[static_cast<std::size_t>(src - own_.begin) * nn + d] = end;
+        end += pair_words_[static_cast<std::size_t>(src) * nn + d] *
+               sizeof(Word);
+      }
+    auto& frame = sbuf_[static_cast<std::size_t>(q)];
+    frame.resize(end);
+    std::memcpy(frame.data(), my_rows, rows_bytes(own_));
+  }
+  for (NodeId src = own_.begin; src < own_.end; ++src) {
+    const auto s = static_cast<std::size_t>(src);
+    const Word* read = out_data_[s].data();
+    for (const auto& seg : out_segs_[s]) {
+      const auto bytes = static_cast<std::size_t>(seg.len) * sizeof(Word);
+      const int q = rank_of_[static_cast<std::size_t>(seg.dst)];
+      if (q != me) {
+        auto& pos = at[static_cast<std::size_t>(src - own_.begin) * nn +
+                       static_cast<std::size_t>(seg.dst)];
+        std::memcpy(sbuf_[static_cast<std::size_t>(q)].data() + pos, read,
+                    bytes);
+        pos += bytes;
+      }
+      read += seg.len;
+    }
+  }
+  std::vector<std::span<const std::byte>> outs(sbuf_.begin(), sbuf_.end());
+  mesh_->exchange_all(outs, rbuf_);
+
+  // Every peer's count rows complete the global count matrix.
+  for (int q = 0; q < mesh_->nprocs(); ++q) {
+    if (q == me) continue;
+    const auto& qs = shards_[static_cast<std::size_t>(q)];
+    const auto& frame = rbuf_[static_cast<std::size_t>(q)];
+    if (frame.size() < rows_bytes(qs))
+      throw std::runtime_error("SocketTransport: short frame from rank " +
+                               std::to_string(q));
+    std::memcpy(pair_words_.data() + static_cast<std::size_t>(qs.begin) * nn,
+                frame.data(), rows_bytes(qs));
   }
 
   auto sum = summarize_counts();
-  rebuild_arena();
-  scatter_and_clear_outboxes();
-
-  // Step 2: payload exchange. My frame for peer q concatenates, for each
-  // dst q owns, the contiguous (dst, my owned sources) arena run — which I
-  // just scattered my staged words into. The frame q sends concatenates
-  // the (my owned dst, q's sources) runs, received straight into the very
-  // arena offsets the layout assigns them (both sides computed the same
-  // layout from the same global counts).
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
-  for (int q = 0; q < P; ++q) {
+  rebuild_arena(own_);
+  // Peer q's payload is, per owned destination, the contiguous (dst, q's
+  // sources) arena run — the layout both sides derived from the same
+  // global counts.
+  for (int q = 0; q < mesh_->nprocs(); ++q) {
     if (q == me) continue;
-    const auto qs = shard_span(n(), P, q);
-    sbuf.clear();
-    std::size_t rbytes = 0;
-    for (NodeId dst = qs.begin; dst < qs.end; ++dst) {
-      const auto run = arena_range(dst, own_.begin, own_.end);
-      sbuf.insert(sbuf.end(), run.begin(), run.end());
-    }
-    for (NodeId dst = own_.begin; dst < own_.end; ++dst)
-      rbytes += arena_range(dst, qs.begin, qs.end).size();
-    rbuf.resize(rbytes);
-    mesh_->exchange(q, std::span<const std::byte>(sbuf),
-                    std::span<std::byte>(rbuf));
-    std::size_t at = 0;
+    const auto& qs = shards_[static_cast<std::size_t>(q)];
+    const auto& frame = rbuf_[static_cast<std::size_t>(q)];
+    std::size_t pos = rows_bytes(qs);
     for (NodeId dst = own_.begin; dst < own_.end; ++dst) {
       const auto run = arena_range(dst, qs.begin, qs.end);
-      if (!run.empty())
-        std::memcpy(run.data(), rbuf.data() + at, run.size());
-      at += run.size();
+      if (pos + run.size() > frame.size()) break;
+      if (!run.empty()) std::memcpy(run.data(), frame.data() + pos, run.size());
+      pos += run.size();
     }
+    if (pos != frame.size())
+      throw std::runtime_error("SocketTransport: payload from rank " +
+                               std::to_string(q) +
+                               " disagrees with its count rows");
   }
+  scatter_and_clear_outboxes(own_);
   return sum;
 }
 
 std::vector<Demand> SocketTransport::staged_meta() {
-  // Non-destructive mirror of deliver()'s step-1 count all-gather: the same
-  // owned-source-row exchange, but into local scratch — staged state,
-  // pair_words_, and all generations stay untouched. Every rank derives the
-  // bit-identical canonical demand list from the identical global counts.
-  // Callers (the hardened fault path) invoke this in SPMD lockstep, so the
-  // extra per-peer frame pair consumes sequence numbers identically on all
-  // ranks.
+  // Non-destructive mirror of deliver()'s count header: the owned count
+  // rows go to every peer over the side channel, into local scratch —
+  // staged state, pair_words_, and all generations stay untouched. Every
+  // rank derives the bit-identical canonical demand list from the
+  // identical global counts. Callers (the hardened fault path) invoke this
+  // in SPMD lockstep, so the extra frames consume sequence numbers
+  // identically on all ranks.
   check_phase_change_serial("staged_meta");
-  const int P = mesh_->nprocs();
-  const int me = mesh_->rank();
   const auto nn = static_cast<std::size_t>(n());
-  std::vector<std::size_t> counts(nn * nn, 0);
+  std::vector<Word> counts(nn * nn, 0);
   for (NodeId src = own_.begin; src < own_.end; ++src) {
     const auto base = static_cast<std::size_t>(src) * nn;
     for (const auto& seg : out_segs_[static_cast<std::size_t>(src)])
       counts[base + static_cast<std::size_t>(seg.dst)] += seg.len;
   }
-  for (int q = 0; q < P; ++q) {
-    if (q == me) continue;
-    const auto qs = shard_span(n(), P, q);
-    const auto mine = std::span<std::size_t>(
-        counts.data() + static_cast<std::size_t>(own_.begin) * nn,
-        static_cast<std::size_t>(own_.size()) * nn);
-    const auto theirs = std::span<std::size_t>(
-        counts.data() + static_cast<std::size_t>(qs.begin) * nn,
-        static_cast<std::size_t>(qs.size()) * nn);
-    mesh_->exchange(q, std::as_bytes(mine), std::as_writable_bytes(theirs));
-  }
+  std::vector<std::size_t> rows(nn + 1);
+  for (std::size_t v = 0; v <= nn; ++v) rows[v] = v * nn;
+  allgather_blocks(counts, rows);
   std::vector<Demand> out;
   for (int src = 0; src < n(); ++src) {
     const auto base = static_cast<std::size_t>(src) * nn;
@@ -428,18 +521,24 @@ void SocketTransport::allgather_blocks(std::span<Word> data,
                                        std::span<const std::size_t> offsets) {
   CCA_EXPECTS(static_cast<int>(offsets.size()) == n() + 1);
   CCA_EXPECTS(offsets[static_cast<std::size_t>(n())] <= data.size());
-  const int P = mesh_->nprocs();
-  const int me = mesh_->rank();
   const auto block = [&](NodeSpan s) {
     const auto lo = offsets[static_cast<std::size_t>(s.begin)];
     const auto hi = offsets[static_cast<std::size_t>(s.end)];
-    return std::span<Word>(data.data() + lo, hi - lo);
+    return std::as_writable_bytes(std::span<Word>(data.data() + lo, hi - lo));
   };
-  for (int q = 0; q < P; ++q) {
-    if (q == me) continue;
-    const auto qs = shard_span(n(), P, q);
-    mesh_->exchange(q, std::as_bytes(block(own_)),
-                    std::as_writable_bytes(block(qs)));
+  const std::vector<std::span<const std::byte>> outs(rbuf_.size(),
+                                                    block(own_));
+  mesh_->exchange_all(outs, rbuf_);
+  for (int q = 0; q < mesh_->nprocs(); ++q) {
+    if (q == mesh_->rank()) continue;
+    const auto dst = block(shards_[static_cast<std::size_t>(q)]);
+    const auto& got = rbuf_[static_cast<std::size_t>(q)];
+    if (got.size() != dst.size())
+      throw std::runtime_error("SocketTransport: block from rank " +
+                               std::to_string(q) + " has " +
+                               std::to_string(got.size()) + " bytes, want " +
+                               std::to_string(dst.size()));
+    if (!got.empty()) std::memcpy(dst.data(), got.data(), got.size());
   }
 }
 

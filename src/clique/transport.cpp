@@ -210,12 +210,12 @@ DeliverySummary ArenaTransport::summarize_counts() const {
   return sum;
 }
 
-void ArenaTransport::rebuild_arena() {
+void ArenaTransport::rebuild_arena(NodeSpan dsts) {
   // Pass 2: lay out the arena (receiver-major, senders ascending within a
   // receiver) and scatter every source's staged runs into its slices. The
   // delivered content is independent of the schedule.
   std::size_t cursor = 0;
-  for (int dst = 0; dst < n_; ++dst)
+  for (int dst = dsts.begin; dst < dsts.end; ++dst)
     for (int src = 0; src < n_; ++src) {
       const auto idx = pair_index(dst, src);
       const auto words = pair_words_[static_cast<std::size_t>(src) *
@@ -240,7 +240,7 @@ void ArenaTransport::rebuild_arena() {
 #endif
 }
 
-void ArenaTransport::scatter_and_clear_outboxes() {
+void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts) {
   // pair_words_ is consumed as the per-pair write cursor from here on.
   std::fill(pair_words_.begin(), pair_words_.end(), 0);
   for (int src = 0; src < n_; ++src) {
@@ -248,6 +248,10 @@ void ArenaTransport::scatter_and_clear_outboxes() {
     const auto base = s * static_cast<std::size_t>(n_);
     const Word* read = out_data_[s].data();
     for (const auto& seg : out_segs_[s]) {
+      if (!dsts.contains(seg.dst)) {
+        read += seg.len;
+        continue;
+      }
       auto& consumed = pair_words_[base + static_cast<std::size_t>(seg.dst)];
       std::memcpy(arena_.data() + in_off_[pair_index(seg.dst, src)] + consumed,
                   read, static_cast<std::size_t>(seg.len) * sizeof(Word));
@@ -271,8 +275,8 @@ DeliverySummary ArenaTransport::deliver() {
   check_phase_change_serial("deliver");
   count_staged_words();
   auto sum = summarize_counts();
-  rebuild_arena();
-  scatter_and_clear_outboxes();
+  rebuild_arena({0, n_});
+  scatter_and_clear_outboxes({0, n_});
   return sum;
 }
 
@@ -281,6 +285,44 @@ std::span<const Word> ArenaTransport::inbox(NodeId dst, NodeId src) const {
   check_node(src);
   const auto idx = pair_index(dst, src);
   return {arena_.data() + in_off_[idx], in_len_[idx]};
+}
+
+SplitGroup split_group(Transport& t) {
+  const int n = t.n();
+  const NodeSpan own = t.owned();
+  // Every node's slot ends up holding the first node of its rank's span;
+  // the ranks are the distinct values, ascending.
+  std::vector<Word> first(static_cast<std::size_t>(n), 0);
+  std::vector<std::size_t> unit(static_cast<std::size_t>(n) + 1);
+  for (std::size_t v = 0; v < unit.size(); ++v) unit[v] = v;
+  for (NodeId v = own.begin; v < own.end; ++v)
+    first[static_cast<std::size_t>(v)] = static_cast<Word>(own.begin);
+  t.allgather_blocks(first, unit);
+  std::vector<NodeId> starts;  // starts[q]: first node of rank q, then n
+  for (NodeId v = 0; v < n; ++v)
+    if (first[static_cast<std::size_t>(v)] == static_cast<Word>(v))
+      starts.push_back(v);
+  CCA_VALIDATE(!starts.empty() && starts.front() == 0,
+               "owned spans must partition the clique");
+  SplitGroup group;
+  group.nprocs = static_cast<int>(starts.size());
+  group.rank = static_cast<int>(
+      std::find(starts.begin(), starts.end(), own.begin) - starts.begin());
+  starts.push_back(n);
+  group.allgather = [&t, starts](std::span<Word> data,
+                                 std::span<const std::size_t> offsets) {
+    const auto procs = starts.size() - 1;
+    CCA_EXPECTS(offsets.size() == procs + 1);
+    std::vector<std::size_t> by_node(starts.back() + std::size_t{1});
+    for (std::size_t q = 0; q < procs; ++q)
+      for (auto v = static_cast<std::size_t>(starts[q]);
+           v < static_cast<std::size_t>(starts[q + 1]); ++v)
+        by_node[v] = v == static_cast<std::size_t>(starts[q]) ? offsets[q]
+                                                              : offsets[q + 1];
+    by_node.back() = offsets[procs];
+    t.allgather_blocks(data, by_node);
+  };
+  return group;
 }
 
 namespace {

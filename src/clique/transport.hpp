@@ -170,6 +170,14 @@ class Transport {
   }
 };
 
+/// The ranks sharing a sharded transport's clique, as the SplitGroup of
+/// schedule_koenig_relay's shared split. One allgather_blocks call learns
+/// every rank's span; the group's allgather then hangs rank q's block on
+/// the first node of q's span. It needs only owned() and allgather_blocks(),
+/// so it works through any decorator that forwards those two. `t` must
+/// outlive the group; every rank calls this in lockstep.
+[[nodiscard]] SplitGroup split_group(Transport& t);
+
 /// RAII ambient transport factory, mirroring FaultScope: algorithms such
 /// as apsp_semiring construct their Network internally, so a multi-process
 /// run installs a TransportScope and every Network(int n) constructed on
@@ -200,8 +208,8 @@ class TransportScope {
 /// plane, moved verbatim behind the seam.
 ///
 /// The staging/arena machinery is deliberately reusable: SocketTransport
-/// derives from it, keeps the identical arena layout on every rank, and
-/// overrides only deliver() (count all-gather + remote payload exchange)
+/// derives from it, lays the arena out over its owned receivers only, and
+/// overrides only deliver() (one frame per peer: count rows, then payload)
 /// and the ownership/side-channel hooks.
 class ArenaTransport : public Transport {
  public:
@@ -236,7 +244,7 @@ class ArenaTransport : public Transport {
   // deliver() split into its phases so a derived backend can interleave its
   // exchange steps while keeping the canonical summary and arena layout
   // bit-identical. deliver() == count_staged_words(); summarize_counts();
-  // rebuild_arena(); scatter_and_clear_outboxes().
+  // rebuild_arena({0, n}); scatter_and_clear_outboxes({0, n}).
 
   /// Pass 1: fill pair_words_ (indexed src*n + dst) from the staged
   /// segments of every LOCAL outbox.
@@ -248,13 +256,16 @@ class ArenaTransport : public Transport {
   /// derives the bit-identical summary.
   [[nodiscard]] DeliverySummary summarize_counts() const;
 
-  /// Pass 2a: lay out the receiver-major arena from pair_words_, bump every
+  /// Pass 2a: lay out the receiver-major arena for the receivers in `dsts`
+  /// from pair_words_ (other receivers' inboxes read empty), bump every
   /// generation (all staged spans and inbox views die), and size the arena.
-  void rebuild_arena();
+  void rebuild_arena(NodeSpan dsts);
 
-  /// Pass 2b: scatter every LOCAL outbox's runs into its arena slices and
-  /// release the outboxes. pair_words_ is consumed as the write cursor.
-  void scatter_and_clear_outboxes();
+  /// Pass 2b: scatter every LOCAL outbox's runs bound for `dsts` into
+  /// their arena slices and release the outboxes (runs to other
+  /// destinations were already framed to their owning ranks).
+  /// pair_words_ is consumed as the write cursor.
+  void scatter_and_clear_outboxes(NodeSpan dsts);
 
   int n_;
 

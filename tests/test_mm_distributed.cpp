@@ -3,7 +3,8 @@
 // plus socketpair'd P=2 runs pinning the ownership-generic engine layer
 // (sharded Auto dispatch, the sparse batch, batched APSP, and fault
 // injection under the socket backend) bit-identical to the single-process
-// arena oracle.
+// arena oracle, and a P=3 run covering odd P with schedule-cache misses
+// (the split shared over the ranks) and hits.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -315,24 +316,30 @@ TEST(Plans, AutoPlanPicksFittingDepth) {
 // which runs the same checks across real processes).
 // ---------------------------------------------------------------------------
 
-/// Build the P=2 meshes from one socketpair (each side adopted by a rank).
-std::pair<std::shared_ptr<clique::SocketMesh>,
-          std::shared_ptr<clique::SocketMesh>>
-paired_meshes() {
-  int sv[2];
-  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto m0 = std::make_shared<clique::SocketMesh>(0, 2,
-                                                 std::vector<int>{-1, sv[0]});
-  auto m1 = std::make_shared<clique::SocketMesh>(1, 2,
-                                                 std::vector<int>{sv[1], -1});
-  return {std::move(m0), std::move(m1)};
+/// Build a P-rank mesh from one socketpair() per pair of ranks.
+std::vector<std::shared_ptr<clique::SocketMesh>> socket_meshes(int procs) {
+  const auto p = static_cast<std::size_t>(procs);
+  std::vector<std::vector<int>> fds(p, std::vector<int>(p, -1));
+  for (std::size_t a = 0; a < p; ++a)
+    for (std::size_t b = a + 1; b < p; ++b) {
+      int sv[2];
+      EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+      fds[a][b] = sv[0];
+      fds[b][a] = sv[1];
+    }
+  std::vector<std::shared_ptr<clique::SocketMesh>> meshes;
+  for (int r = 0; r < procs; ++r)
+    meshes.push_back(std::make_shared<clique::SocketMesh>(
+        r, procs, std::move(fds[static_cast<std::size_t>(r)])));
+  return meshes;
 }
 
-/// Run one SPMD body per rank concurrently (deliver() blocks on the peer).
-void run_ranks(const std::function<void(int)>& body) {
-  std::thread t1([&] { body(1); });
+/// Run one SPMD body per rank concurrently (deliver() blocks on the peers).
+void run_ranks(int procs, const std::function<void(int)>& body) {
+  std::vector<std::thread> peers;
+  for (int r = 1; r < procs; ++r) peers.emplace_back([&body, r] { body(r); });
   body(0);
-  t1.join();
+  for (auto& t : peers) t.join();
 }
 
 /// The deterministic TrafficStats fields (wall-clock telemetry excluded).
@@ -376,9 +383,8 @@ TEST(SocketP2Engines, AutoBatchMatchesArenaOracleBitIdentically) {
       oracle_net, sr, codec, std::span<const Matrix<std::int64_t>>(as),
       std::span<const Matrix<std::int64_t>>(bs), &oracle_ctx);
 
-  auto [m0, m1] = paired_meshes();
-  std::shared_ptr<clique::SocketMesh> meshes[2] = {m0, m1};
-  run_ranks([&](int r) {
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
     clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
     clique::Network net(n);
     MmDispatchContext ctx;
@@ -422,9 +428,8 @@ TEST(SocketP2Engines, SparseBatchMatchesArenaOracleBitIdentically) {
   for (std::size_t b = 0; b < as.size(); ++b)
     ASSERT_EQ(oracle[b], multiply(ring, as[b], bs[b])) << "product " << b;
 
-  auto [m0, m1] = paired_meshes();
-  std::shared_ptr<clique::SocketMesh> meshes[2] = {m0, m1};
-  run_ranks([&](int r) {
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
     clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
     clique::Network net(n);
     const auto got = mm_semiring_sparse_batch(
@@ -445,9 +450,8 @@ TEST(SocketP2Engines, ApspBatchMatchesArenaOracleBitIdentically) {
                                        900 + static_cast<std::uint64_t>(b)));
   const auto oracle = apsp_semiring_batch(gs, MmKind::Auto);
 
-  auto [m0, m1] = paired_meshes();
-  std::shared_ptr<clique::SocketMesh> meshes[2] = {m0, m1};
-  run_ranks([&](int r) {
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
     clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
     const auto got = apsp_semiring_batch(gs, MmKind::Auto);
     const auto own = clique::shard_span(semiring_clique_size(n), 2, r);
@@ -478,9 +482,8 @@ TEST(SocketP2Engines, FaultMixChargesBitIdenticallyAcrossFourSeeds) {
     ASSERT_GT(oracle_net.stats().faults_injected, 0)
         << "seed " << seed << " drew no faults — weaken the mix";
 
-    auto [m0, m1] = paired_meshes();
-    std::shared_ptr<clique::SocketMesh> meshes[2] = {m0, m1};
-    run_ranks([&](int r) {
+    const auto meshes = socket_meshes(2);
+    run_ranks(2, [&](int r) {
       clique::TransportScope scope(
           clique::SocketTransport::factory(meshes[r]));
       clique::Network net(n);
@@ -490,6 +493,33 @@ TEST(SocketP2Engines, FaultMixChargesBitIdenticallyAcrossFourSeeds) {
       expect_stats_eq(net.stats(), oracle_net.stats(), r);
     });
   }
+}
+
+TEST(SocketP3Engines, CacheMissesAndHitsChargeBitIdentically) {
+  // Odd P through the all-peer exchange and the split's task deal. Two
+  // products of one shape on one Network: the first misses the schedule
+  // cache and runs the split shared over the three ranks, the second hits.
+  const int n = 27;
+  const IntRing ring;
+  const I64Codec codec;
+  const auto a = random_int_matrix(n, 81);
+  const auto b = random_int_matrix(n, 82);
+
+  clique::Network oracle_net(n);
+  (void)mm_semiring_3d(oracle_net, ring, codec, a, b);
+  const auto oracle = mm_semiring_3d(oracle_net, ring, codec, b, a);
+  ASSERT_GT(oracle_net.stats().schedule_misses, 0);
+  ASSERT_GT(oracle_net.stats().schedule_hits, 0);
+
+  const auto meshes = socket_meshes(3);
+  run_ranks(3, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    clique::Network net(n);
+    (void)mm_semiring_3d(net, ring, codec, a, b);
+    const auto got = mm_semiring_3d(net, ring, codec, b, a);
+    expect_owned_rows_eq(got, oracle, net.owned(), r);
+    expect_stats_eq(net.stats(), oracle_net.stats(), r);
+  });
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 //     distributed claims — identical DeliverySummary on every rank, owned
 //     inboxes filled across the rank boundary, and the uncharged allgather
 //     side channel.
+// Socketpair'd P=2 and P=3 meshes also pin the Euler split shared over the
+// ranks: every rank's Schedule equals the in-process split's.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,8 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "clique/routing.hpp"
 #include "clique/socket_transport.hpp"
 #include "clique/transport.hpp"
+#include "core/mm.hpp"
+#include "util/rng.hpp"
 
 namespace cca::clique {
 namespace {
@@ -149,26 +154,35 @@ TEST_P(TransportConformance, TakeInboxConsumesThePair) {
 // Two ranks in one process over a socketpair, one thread per rank.
 // ---------------------------------------------------------------------------
 
-/// Build the P=2 meshes from one socketpair (each side adopted by a rank).
-std::pair<std::shared_ptr<SocketMesh>, std::shared_ptr<SocketMesh>>
-paired_meshes() {
-  int sv[2];
-  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto m0 = std::make_shared<SocketMesh>(0, 2, std::vector<int>{-1, sv[0]});
-  auto m1 = std::make_shared<SocketMesh>(1, 2, std::vector<int>{sv[1], -1});
-  return {std::move(m0), std::move(m1)};
+/// Build a P-rank mesh from one socketpair() per pair of ranks.
+std::vector<std::shared_ptr<SocketMesh>> socket_meshes(int procs) {
+  const auto p = static_cast<std::size_t>(procs);
+  std::vector<std::vector<int>> fds(p, std::vector<int>(p, -1));
+  for (std::size_t a = 0; a < p; ++a)
+    for (std::size_t b = a + 1; b < p; ++b) {
+      int sv[2];
+      EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+      fds[a][b] = sv[0];
+      fds[b][a] = sv[1];
+    }
+  std::vector<std::shared_ptr<SocketMesh>> meshes;
+  for (int r = 0; r < procs; ++r)
+    meshes.push_back(std::make_shared<SocketMesh>(
+        r, procs, std::move(fds[static_cast<std::size_t>(r)])));
+  return meshes;
 }
 
-/// Run one SPMD body per rank concurrently (deliver() blocks on the peer).
-void run_ranks(const std::function<void(int)>& body) {
-  std::thread t1([&] { body(1); });
+/// Run one SPMD body per rank concurrently (deliver() blocks on the peers).
+void run_ranks(int procs, const std::function<void(int)>& body) {
+  std::vector<std::thread> peers;
+  for (int r = 1; r < procs; ++r) peers.emplace_back([&body, r] { body(r); });
   body(0);
-  t1.join();
+  for (auto& t : peers) t.join();
 }
 
 TEST(SocketTransportP2, OwnedShardsPartitionTheClique) {
-  auto [m0, m1] = paired_meshes();
-  SocketTransport t0(5, m0), t1(5, m1);
+  const auto m = socket_meshes(2);
+  SocketTransport t0(5, m[0]), t1(5, m[1]);
   EXPECT_EQ(t0.owned(), (NodeSpan{0, 2}));
   EXPECT_EQ(t1.owned(), (NodeSpan{2, 5}));
   EXPECT_EQ(t0.owned(), shard_span(5, 2, 0));
@@ -176,12 +190,12 @@ TEST(SocketTransportP2, OwnedShardsPartitionTheClique) {
 }
 
 TEST(SocketTransportP2, DeliverMovesWordsAcrossRanksWithIdenticalSummary) {
-  auto [m0, m1] = paired_meshes();
-  SocketTransport t0(4, m0), t1(4, m1);  // rank 0 owns {0,1}, rank 1 {2,3}
+  const auto m = socket_meshes(2);
+  SocketTransport t0(4, m[0]), t1(4, m[1]);  // rank 0 owns {0,1}, rank 1 {2,3}
   Transport* ts[2] = {&t0, &t1};
   DeliverySummary sums[2];
 
-  run_ranks([&](int r) {
+  run_ranks(2, [&](int r) {
     Transport& t = *ts[r];
     if (r == 0) {
       t.send(0, 2, 100);  // crosses to rank 1
@@ -216,12 +230,12 @@ TEST(SocketTransportP2, DeliverMovesWordsAcrossRanksWithIdenticalSummary) {
 }
 
 TEST(SocketTransportP2, RepeatedSuperstepsBumpGenerationsInLockstep) {
-  auto [m0, m1] = paired_meshes();
-  SocketTransport t0(4, m0), t1(4, m1);
+  const auto m = socket_meshes(2);
+  SocketTransport t0(4, m[0]), t1(4, m[1]);
   Transport* ts[2] = {&t0, &t1};
 
   const auto inbox0 = t0.inbox_generation();
-  run_ranks([&](int r) {
+  run_ranks(2, [&](int r) {
     Transport& t = *ts[r];
     for (int step = 0; step < 3; ++step) {
       const NodeSpan own = t.owned();
@@ -237,14 +251,14 @@ TEST(SocketTransportP2, RepeatedSuperstepsBumpGenerationsInLockstep) {
 }
 
 TEST(SocketTransportP2, AllgatherBlocksFillsNonOwnedSlots) {
-  auto [m0, m1] = paired_meshes();
-  SocketTransport t0(4, m0), t1(4, m1);
+  const auto m = socket_meshes(2);
+  SocketTransport t0(4, m[0]), t1(4, m[1]);
   Transport* ts[2] = {&t0, &t1};
 
   // One word per node: offsets[v] = v (the broadcast_all sync layout).
   const std::vector<std::size_t> offsets{0, 1, 2, 3, 4};
   std::vector<Word> data[2] = {{0, 0, 0, 0}, {0, 0, 0, 0}};
-  run_ranks([&](int r) {
+  run_ranks(2, [&](int r) {
     Transport& t = *ts[r];
     const NodeSpan own = t.owned();
     for (NodeId v = own.begin; v < own.end; ++v)
@@ -256,12 +270,12 @@ TEST(SocketTransportP2, AllgatherBlocksFillsNonOwnedSlots) {
 }
 
 TEST(SocketTransportP2, DiscardIsLocalAndKeepsRanksConsistent) {
-  auto [m0, m1] = paired_meshes();
-  SocketTransport t0(4, m0), t1(4, m1);
+  const auto m = socket_meshes(2);
+  SocketTransport t0(4, m[0]), t1(4, m[1]);
   Transport* ts[2] = {&t0, &t1};
   DeliverySummary sums[2];
 
-  run_ranks([&](int r) {
+  run_ranks(2, [&](int r) {
     Transport& t = *ts[r];
     if (r == 0) {
       // Rank 0 stages a doomed superstep and unwinds it locally...
@@ -279,6 +293,111 @@ TEST(SocketTransportP2, DiscardIsLocalAndKeepsRanksConsistent) {
   EXPECT_EQ(sums[1].demands, want);
   EXPECT_EQ(to_vector(t1.inbox(2, 0)), (std::vector<Word>{0}));
   EXPECT_EQ(to_vector(t0.inbox(0, 2)), (std::vector<Word>{2}));
+}
+
+// ---------------------------------------------------------------------------
+// The Euler split shared over P ranks (routing.hpp's SplitGroup).
+// ---------------------------------------------------------------------------
+
+class SharedSplit : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Ranks, SharedSplit, ::testing::Values(2, 3),
+                         ::testing::PrintToStringParamName());
+
+TEST_P(SharedSplit, EveryRankGetsTheInProcessSchedule) {
+  const int procs = GetParam();
+  struct Case {
+    int n;
+    std::vector<Demand> demands;
+    std::string what;
+  };
+  std::vector<Case> cases;
+  // 3D semiring supersteps, even and odd block widths: even widths collapse
+  // at the top of the recursion, odd ones split at once.
+  for (const auto& [n, blocks] :
+       {std::pair<int, std::vector<std::size_t>>{27, {8, 9}},
+        std::pair<int, std::vector<std::size_t>>{64, {16, 9}}})
+    for (const auto block : blocks) {
+      auto [step1, step3] = core::semiring3d_superstep_demands(n, block);
+      const auto tag =
+          " n=" + std::to_string(n) + " block=" + std::to_string(block);
+      cases.push_back({n, std::move(step1), "3d step1" + tag});
+      cases.push_back({n, std::move(step3), "3d step3" + tag});
+    }
+  {
+    Rng rng(77);
+    std::vector<Demand> ragged;
+    for (int i = 0; i < 80; ++i) {
+      const int s = static_cast<int>(rng.next_below(20));
+      const int d = (s + 1 + static_cast<int>(rng.next_below(19))) % 20;
+      ragged.push_back({s, d, rng.next_in(1, 20)});
+    }
+    cases.push_back({20, std::move(ragged), "ragged"});
+  }
+  {
+    // A cyclic shift is one matching: the root is a leaf, so the recursion
+    // yields one task for P ranks.
+    std::vector<Demand> shift;
+    for (int v = 0; v < 9; ++v) shift.push_back({v, (v + 1) % 9, 1});
+    EXPECT_LT(detail::koenig_split_task_count(9, shift, 2 * procs), procs);
+    cases.push_back({9, std::move(shift), "fewer tasks than ranks"});
+  }
+  cases.push_back({5, {}, "empty"});
+
+  for (const auto& c : cases) {
+    const Schedule want = schedule_koenig_relay(c.n, c.demands);
+    const auto meshes = socket_meshes(procs);
+    std::vector<Schedule> got(static_cast<std::size_t>(procs));
+    run_ranks(procs, [&](int r) {
+      SocketTransport t(c.n, meshes[static_cast<std::size_t>(r)]);
+      const SplitGroup group = split_group(t);
+      EXPECT_EQ(group.nprocs, procs) << c.what;
+      EXPECT_EQ(group.rank, r) << c.what;
+      got[static_cast<std::size_t>(r)] =
+          schedule_koenig_relay(c.n, c.demands, group);
+    });
+    for (int r = 0; r < procs; ++r) {
+      const auto& g = got[static_cast<std::size_t>(r)];
+      EXPECT_EQ(g.rounds, want.rounds) << c.what << " rank " << r;
+      EXPECT_EQ(g.classes, want.classes) << c.what << " rank " << r;
+      EXPECT_EQ(g.words, want.words) << c.what << " rank " << r;
+    }
+  }
+}
+
+TEST(SocketTransportP3, DeliverCrossesEveryRankPair) {
+  // Odd P through the one-frame-per-peer deliver: every node sends to
+  // every other node, so every rank pair carries payload both ways.
+  const int n = 7;
+  const auto m = socket_meshes(3);
+  std::vector<std::unique_ptr<SocketTransport>> ts;
+  for (const auto& mesh : m)
+    ts.push_back(std::make_unique<SocketTransport>(n, mesh));
+  std::vector<DeliverySummary> sums(3);
+  run_ranks(3, [&](int r) {
+    auto& t = *ts[static_cast<std::size_t>(r)];
+    const NodeSpan own = t.owned();
+    for (NodeId src = own.begin; src < own.end; ++src)
+      for (NodeId dst = 0; dst < n; ++dst)
+        if (dst != src)
+          t.send_words(src, dst,
+                       std::vector<Word>(static_cast<std::size_t>(src + 1),
+                                         static_cast<Word>(10 * src + dst)));
+    sums[static_cast<std::size_t>(r)] = t.deliver();
+  });
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands, sums[0].demands);
+    EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands.size(), 42u);
+    const auto& t = *ts[static_cast<std::size_t>(r)];
+    for (NodeId dst = t.owned().begin; dst < t.owned().end; ++dst)
+      for (NodeId src = 0; src < n; ++src) {
+        if (src == dst) continue;
+        EXPECT_EQ(to_vector(t.inbox(dst, src)),
+                  std::vector<Word>(static_cast<std::size_t>(src + 1),
+                                    static_cast<Word>(10 * src + dst)))
+            << "rank " << r << " inbox (" << dst << ", " << src << ")";
+      }
+  }
 }
 
 }  // namespace

@@ -15,33 +15,6 @@ namespace {
 
 constexpr std::int64_t kInf = MinPlusSemiring::kInf;
 
-/// Min-plus value carrying the summation index that attained it. The pair
-/// (distance, witness) ordered lexicographically is a bona fide semiring:
-/// add = lexicographic min, mul = (d1 + d2, left witness). The left witness
-/// is the column index of the S-side entry, planted at lift time.
-struct WDist {
-  std::int64_t d = kInf;
-  std::int64_t w = -1;
-  friend bool operator==(const WDist&, const WDist&) = default;
-};
-
-/// Zero contract: {kInf, -1} annihilates mul even against {kInf, w} values
-/// carrying a planted witness (which compare UNEQUAL to zero) — audited by
-/// the WitnessMinPlusAudit mirror in tests/test_matrix.cpp ZeroSkipAudit.
-struct WitnessMinPlus {
-  using Value = WDist;
-  [[nodiscard]] Value zero() const noexcept { return {kInf, -1}; }
-  [[nodiscard]] Value one() const noexcept { return {0, -1}; }
-  [[nodiscard]] Value add(const Value& a, const Value& b) const noexcept {
-    if (a.d != b.d) return a.d < b.d ? a : b;
-    return a.w <= b.w ? a : b;
-  }
-  [[nodiscard]] Value mul(const Value& a, const Value& b) const noexcept {
-    if (a.d >= kInf || b.d >= kInf) return {kInf, -1};
-    return {a.d + b.d, a.w};
-  }
-};
-
 struct WDistCodec {
   using Value = WDist;
   [[nodiscard]] std::size_t words_for(std::size_t entries) const noexcept {

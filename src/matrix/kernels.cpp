@@ -1,6 +1,8 @@
 #include "matrix/kernels.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -141,15 +143,145 @@ Matrix<std::int64_t> multiply_minplus_blocked(const Matrix<std::int64_t>& a,
         if (!row_has_inf[static_cast<std::size_t>(r)]) {
           for (int j = 0; j < m; ++j) {
             const auto cand = aik + brow[j];
-            if (cand < orow[j]) orow[j] = cand;
+            orow[j] = cand < orow[j] ? cand : orow[j];
           }
         } else {
           for (int j = 0; j < m; ++j) {
             if (brow[j] >= kInf) continue;
             const auto cand = aik + brow[j];
-            if (cand < orow[j]) orow[j] = cand;
+            orow[j] = cand < orow[j] ? cand : orow[j];
           }
         }
+      }
+    }
+  }
+  return out;
+}
+
+namespace {
+
+// Packed witness keys. With S = 2^kWitnessKeyShift and D = kWitnessKeyMaxAbsD,
+// a finite left entry packs to d_a*S + (w_a + 1) in [-D*S, D*S + S - 1] and a
+// finite right entry contributes d_b*S in [-D*S, D*S], so every finite sum
+// lies in [-2D*S, 2D*S + S - 1], below kFiniteKeyLimit = (2D + 1)*S. Since
+// 0 <= w + 1 < S, integer order on keys is the lexicographic (d, w) order,
+// and the sum carries the left witness, as WitnessMinPlus::mul does.
+// Infinite entries (d >= kInf, any witness) pack to kInfKey on either side.
+// A sum involving one is at least kInfKey - D*S >= kFiniteKeyLimit, because
+// D is chosen so that (3D + 1)*S <= kInfKey, and at most 2*kInfKey, which
+// fits in int64. The accumulator starts at kInfKey, so an output whose every
+// term involves an infinity unpacks to the semiring zero {kInf, -1} — what
+// multiply() yields, since mul annihilates such terms. In-domain finite sums
+// stay far below kInf, so no finite term saturates either.
+constexpr std::int64_t kKeyScale = std::int64_t{1} << kWitnessKeyShift;
+constexpr std::int64_t kInfKey = std::numeric_limits<std::int64_t>::max() / 2;
+constexpr std::int64_t kFiniteKeyLimit =
+    (2 * kWitnessKeyMaxAbsD + 1) * kKeyScale;
+static_assert((3 * kWitnessKeyMaxAbsD + 1) * kKeyScale <= kInfKey);
+static_assert(kWitnessKeyMaxAbsD < WitnessMinPlus::kInf / 2);
+
+// Register tile: kWitnessRows output rows by kWitnessTile output columns.
+constexpr int kWitnessRows = 2;
+constexpr int kWitnessTile = 4;
+
+// The packed-key domain of a finite entry (d < kInf); infinite entries
+// always pack.
+[[nodiscard]] bool packs_distance(std::int64_t d) {
+  return d >= -kWitnessKeyMaxAbsD && d <= kWitnessKeyMaxAbsD;
+}
+[[nodiscard]] bool packs_witness(std::int64_t w) {
+  return w >= -1 && w <= kWitnessKeyMaxWitness;
+}
+
+}  // namespace
+
+bool in_witness_key_domain(const Matrix<WDist>& a, const Matrix<WDist>& b) {
+  constexpr std::int64_t kInf = WitnessMinPlus::kInf;
+  for (int i = 0; i < a.rows(); ++i)
+    for (const WDist& e : std::span<const WDist>(a.row(i), a.cols()))
+      if (e.d < kInf && !(packs_distance(e.d) && packs_witness(e.w)))
+        return false;
+  for (int i = 0; i < b.rows(); ++i)
+    for (const WDist& e : std::span<const WDist>(b.row(i), b.cols()))
+      if (e.d < kInf && !packs_distance(e.d)) return false;
+  return true;
+}
+
+Matrix<WDist> multiply_witness_minplus(const Matrix<WDist>& a,
+                                       const Matrix<WDist>& b) {
+  CCA_EXPECTS(a.cols() == b.rows());
+  constexpr std::int64_t kInf = WitnessMinPlus::kInf;
+  const int n = a.rows();
+  const int k = a.cols();
+  const int m = b.cols();
+
+  // Packing checks the domain entry by entry (the same test as
+  // in_witness_key_domain) and hands the first miss to multiply().
+  // A row after row, padded to whole row tiles with kInfKey rows whose
+  // outputs are never stored.
+  const std::size_t ks = static_cast<std::size_t>(k);
+  const int row_tiles = (n + kWitnessRows - 1) / kWitnessRows;
+  std::vector<std::int64_t> akey(
+      static_cast<std::size_t>(row_tiles) * kWitnessRows * ks, kInfKey);
+  for (int i = 0; i < n; ++i) {
+    const WDist* arow = a.row(i);
+    std::int64_t* krow = akey.data() + static_cast<std::size_t>(i) * ks;
+    for (int r = 0; r < k; ++r) {
+      const WDist e = arow[r];
+      if (e.d >= kInf) continue;
+      if (!packs_distance(e.d) || !packs_witness(e.w))
+        return multiply(WitnessMinPlus{}, a, b);
+      krow[r] = e.d * kKeyScale + (e.w + 1);
+    }
+  }
+
+  // B in column panels of kWitnessTile: panel p holds columns
+  // [p*kWitnessTile, (p+1)*kWitnessTile) row after row, so the inner loop
+  // streams it. Lanes past column m stay kInfKey and are never stored.
+  const int panels = (m + kWitnessTile - 1) / kWitnessTile;
+  const std::size_t panel_size = ks * kWitnessTile;
+  std::vector<std::int64_t> bkey(static_cast<std::size_t>(panels) *
+                                     panel_size,
+                                 kInfKey);
+  for (int r = 0; r < k; ++r) {
+    const WDist* brow = b.row(r);
+    for (int j = 0; j < m; ++j) {
+      const std::int64_t d = brow[j].d;
+      if (d >= kInf) continue;
+      if (!packs_distance(d)) return multiply(WitnessMinPlus{}, a, b);
+      bkey[static_cast<std::size_t>(j / kWitnessTile) * panel_size +
+           static_cast<std::size_t>(r) * kWitnessTile + j % kWitnessTile] =
+          d * kKeyScale;
+    }
+  }
+
+  Matrix<WDist> out(n, m, WitnessMinPlus{}.zero());
+  for (int i0 = 0; i0 < n; i0 += kWitnessRows) {
+    const std::int64_t* krows = akey.data() + static_cast<std::size_t>(i0) * ks;
+    for (int p = 0; p < panels; ++p) {
+      const std::int64_t* panel =
+          bkey.data() + static_cast<std::size_t>(p) * panel_size;
+      std::int64_t acc[kWitnessRows][kWitnessTile];
+      for (auto& row : acc)
+        for (auto& x : row) x = kInfKey;
+      for (int r = 0; r < k; ++r) {
+        const std::int64_t* lane = panel + static_cast<std::size_t>(r) *
+                                               kWitnessTile;
+        for (int q = 0; q < kWitnessRows; ++q) {
+          const std::int64_t ka = krows[static_cast<std::size_t>(q) * ks + r];
+          for (int t = 0; t < kWitnessTile; ++t) {
+            const std::int64_t cand = ka + lane[t];
+            acc[q][t] = cand < acc[q][t] ? cand : acc[q][t];
+          }
+        }
+      }
+      const int j0 = p * kWitnessTile;
+      for (int q = 0; q < kWitnessRows && i0 + q < n; ++q) {
+        WDist* orow = out.row(i0 + q);
+        for (int t = 0; t < kWitnessTile && j0 + t < m; ++t)
+          if (acc[q][t] < kFiniteKeyLimit)
+            orow[j0 + t] = {acc[q][t] >> kWitnessKeyShift,
+                            (acc[q][t] & (kKeyScale - 1)) - 1};
       }
     }
   }

@@ -7,13 +7,17 @@
 // entries per machine word, OR-accumulated row-wise — the same word-level
 // trick the PackedBoolCodec uses on the wire), the min-plus semiring runs a
 // cache-blocked tropical kernel, the integer ring runs a transposed-B
-// blocked dot-product kernel, and every other algebra falls back to the
-// generic schoolbook multiply() from ops.hpp.
+// blocked dot-product kernel, the witness min-plus semiring runs a
+// packed-key kernel (each (distance, witness) pair is one int64 whose
+// integer order is the lexicographic order, so the add is a branch-free
+// min), and every other algebra falls back to the generic schoolbook
+// multiply() from ops.hpp.
 //
 // All kernels are EXACTLY result-equivalent to multiply(s, a, b): Boolean
-// OR/AND and min/plus are associative and commutative, so reassociating the
-// accumulation cannot change any output entry. Round accounting is
-// untouched — these run strictly between supersteps.
+// OR/AND, min/plus and the lexicographic min are associative and
+// commutative, so reassociating the accumulation cannot change any output
+// entry. Round accounting is untouched — these run strictly between
+// supersteps.
 //
 // To add a kernel specialization for a new semiring: implement the kernel,
 // add a non-template local_multiply overload for the semiring type (overload
@@ -23,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "matrix/matrix.hpp"
 #include "matrix/ops.hpp"
@@ -58,6 +63,40 @@ namespace cca {
 [[nodiscard]] Matrix<std::int64_t> multiply_i64_blocked(
     const Matrix<std::int64_t>& a, const Matrix<std::int64_t>& b);
 
+/// Packed-key layout of multiply_witness_minplus: a finite entry {d, w}
+/// becomes the key d * 2^kWitnessKeyShift + (w + 1). The fast path's
+/// domain — every finite entry of either operand has
+/// |d| <= kWitnessKeyMaxAbsD, every finite entry of the left operand has
+/// -1 <= w <= kWitnessKeyMaxWitness — keeps every key sum exact in int64
+/// and keeps sums that involve an infinite entry strictly above every
+/// finite sum (derivation in kernels.cpp).
+inline constexpr int kWitnessKeyShift = 32;
+inline constexpr std::int64_t kWitnessKeyMaxWitness =
+    (std::int64_t{1} << kWitnessKeyShift) - 2;
+inline constexpr std::int64_t kWitnessKeyMaxAbsD =
+    (((std::numeric_limits<std::int64_t>::max() / 2) >> kWitnessKeyShift) -
+     1) /
+    3;
+
+/// Witness min-plus product (the Step-2 block product of every witnessed
+/// distance product behind exact APSP). The lexicographic add becomes an
+/// integer min over packed keys, and a right entry contributes
+/// d_b * 2^kWitnessKeyShift, which carries the left witness exactly as
+/// WitnessMinPlus::mul does. B is packed once into column panels so the
+/// inner loop keeps a tile of output columns in registers and updates them
+/// with selects, not branches. Inputs outside the packed domain (see
+/// in_witness_key_domain; checked while packing, O(n^2) per call) take the
+/// generic multiply().
+/// Element-identical to multiply(WitnessMinPlus{}, a, b) on every input.
+[[nodiscard]] Matrix<WDist> multiply_witness_minplus(const Matrix<WDist>& a,
+                                                     const Matrix<WDist>& b);
+
+/// Whether multiply_witness_minplus(a, b) takes its packed-key path: every
+/// finite entry (d < kInf) of a and b has |d| <= kWitnessKeyMaxAbsD, and
+/// every finite entry of a has -1 <= w <= kWitnessKeyMaxWitness.
+[[nodiscard]] bool in_witness_key_domain(const Matrix<WDist>& a,
+                                         const Matrix<WDist>& b);
+
 /// Semiring-dispatched local product: specialized kernel when one exists,
 /// generic multiply() otherwise.
 template <Semiring S>
@@ -77,6 +116,11 @@ template <Semiring S>
     const MinPlusSemiring&, const Matrix<std::int64_t>& a,
     const Matrix<std::int64_t>& b) {
   return multiply_minplus_blocked(a, b);
+}
+
+[[nodiscard]] inline Matrix<WDist> local_multiply(
+    const WitnessMinPlus&, const Matrix<WDist>& a, const Matrix<WDist>& b) {
+  return multiply_witness_minplus(a, b);
 }
 
 [[nodiscard]] inline Matrix<std::int64_t> local_multiply(

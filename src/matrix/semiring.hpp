@@ -6,6 +6,8 @@
 //   * the integer ring          — cycle counting (Corollary 2), Seidel,
 //   * the Boolean semiring      — reachability, colour-coding, girth,
 //   * the min-plus semiring     — distance products / APSP (Section 3.3),
+//   * witness min-plus          — distance products with witnesses, the
+//                                 squarings behind exact APSP (Cor. 6),
 //   * capped polynomial rings   — the Lemma 18 embedding (see poly.hpp).
 #pragma once
 
@@ -93,9 +95,41 @@ struct MinPlusSemiring {
   [[nodiscard]] static bool is_inf(Value a) noexcept { return a >= kInf; }
 };
 
+/// Min-plus value carrying the summation index that attained it. The pair
+/// (distance, witness) ordered lexicographically is a bona fide semiring:
+/// add = lexicographic min, mul = (d1 + d2, left witness). The distance
+/// products behind exact APSP (Section 3.3) plant the column index of the
+/// S-side entry as its witness at lift time.
+struct WDist {
+  std::int64_t d = MinPlusSemiring::kInf;
+  std::int64_t w = -1;
+  friend bool operator==(const WDist&, const WDist&) = default;
+};
+
+/// The witness-carrying min-plus semiring over WDist. Zero contract:
+/// {kInf, -1} annihilates mul even against {kInf, w} values carrying a
+/// planted witness (which compare UNEQUAL to zero) — pinned in
+/// tests/test_matrix.cpp ZeroSkipAudit.
+struct WitnessMinPlus {
+  using Value = WDist;
+  static constexpr std::int64_t kInf = MinPlusSemiring::kInf;
+
+  [[nodiscard]] Value zero() const noexcept { return {kInf, -1}; }
+  [[nodiscard]] Value one() const noexcept { return {0, -1}; }
+  [[nodiscard]] Value add(const Value& a, const Value& b) const noexcept {
+    if (a.d != b.d) return a.d < b.d ? a : b;
+    return a.w <= b.w ? a : b;
+  }
+  [[nodiscard]] Value mul(const Value& a, const Value& b) const noexcept {
+    if (a.d >= kInf || b.d >= kInf) return {kInf, -1};
+    return {a.d + b.d, a.w};
+  }
+};
+
 static_assert(Ring<IntRing>);
 static_assert(Semiring<BoolSemiring>);
 static_assert(Semiring<MinPlusSemiring>);
+static_assert(Semiring<WitnessMinPlus>);
 
 /// The semiring element c·1 for c >= 0 (c additions of one(), done ONCE per
 /// coefficient). By distributivity c·x = (c·1)·x in any semiring, so an

@@ -119,32 +119,6 @@ Matrix<typename S::Value> multiply_no_skip(const S& s,
   return out;
 }
 
-/// Mirror of the witness-carrying min-plus semiring dp_semiring_witness
-/// multiplies under (distance, witness) with lexicographic min — its
-/// zero contract is audited here because zero {inf, -1} must annihilate
-/// even against entries {inf, w} with a planted witness, which compare
-/// UNEQUAL to zero.
-struct WitnessMinPlusAudit {
-  struct Value {
-    std::int64_t d = MinPlusSemiring::kInf;
-    std::int64_t w = -1;
-    friend bool operator==(const Value&, const Value&) = default;
-  };
-  [[nodiscard]] Value zero() const noexcept {
-    return {MinPlusSemiring::kInf, -1};
-  }
-  [[nodiscard]] Value one() const noexcept { return {0, -1}; }
-  [[nodiscard]] Value add(const Value& a, const Value& b) const noexcept {
-    if (a.d != b.d) return a.d < b.d ? a : b;
-    return a.w <= b.w ? a : b;
-  }
-  [[nodiscard]] Value mul(const Value& a, const Value& b) const noexcept {
-    if (a.d >= MinPlusSemiring::kInf || b.d >= MinPlusSemiring::kInf)
-      return {MinPlusSemiring::kInf, -1};
-    return {a.d + b.d, a.w};
-  }
-};
-
 TEST(ZeroSkipAudit, ZeroAnnihilatesInEverySemiring) {
   const IntRing zint;
   EXPECT_EQ(zint.mul(zint.zero(), -7), zint.zero());
@@ -163,14 +137,16 @@ TEST(ZeroSkipAudit, ZeroAnnihilatesInEverySemiring) {
   const PolyRing zp{5};
   EXPECT_EQ(zp.mul(zp.zero(), CappedPoly::monomial(5, 2)), zp.zero());
   EXPECT_EQ(zp.mul(CappedPoly::monomial(5, 2), zp.zero()), zp.zero());
-  const WitnessMinPlusAudit zw;
-  // {inf, w} carries a planted witness and compares UNEQUAL to zero, yet
-  // must still annihilate through mul.
-  const WitnessMinPlusAudit::Value lifted_inf{MinPlusSemiring::kInf, 7};
+  // The witness semiring dp_semiring_witness multiplies under: {inf, w}
+  // carries a planted witness and compares UNEQUAL to zero, yet must still
+  // annihilate through mul.
+  const WitnessMinPlus zw;
+  const WDist lifted_inf{MinPlusSemiring::kInf, 7};
+  EXPECT_NE(lifted_inf, zw.zero());
   EXPECT_EQ(zw.mul(lifted_inf, zw.one()), zw.zero());
   EXPECT_EQ(zw.mul(zw.one(), lifted_inf), zw.zero());
-  EXPECT_EQ(zw.mul(zw.zero(), WitnessMinPlusAudit::Value{-5, 3}), zw.zero());
-  EXPECT_EQ(zw.mul(WitnessMinPlusAudit::Value{-5, 3}, zw.zero()), zw.zero());
+  EXPECT_EQ(zw.mul(zw.zero(), WDist{-5, 3}), zw.zero());
+  EXPECT_EQ(zw.mul(WDist{-5, 3}, zw.zero()), zw.zero());
 }
 
 TEST(ZeroSkipAudit, IntRingSkipEquivalence) {
@@ -220,13 +196,13 @@ TEST(ZeroSkipAudit, BooleanSkipEquivalence) {
 }
 
 TEST(ZeroSkipAudit, WitnessMinPlusSkipEquivalence) {
-  const WitnessMinPlusAudit sr;
+  const WitnessMinPlus sr;
   constexpr auto inf = MinPlusSemiring::kInf;
   Rng rng(604);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = 1 + static_cast<int>(rng.next_below(10));
-    Matrix<WitnessMinPlusAudit::Value> a(n, n, sr.zero());
-    Matrix<WitnessMinPlusAudit::Value> b(n, n, sr.zero());
+    Matrix<WDist> a(n, n, sr.zero());
+    Matrix<WDist> b(n, n, sr.zero());
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j) {
         // The dp lift plants witness j on EVERY S entry, finite or not, so

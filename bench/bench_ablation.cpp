@@ -12,7 +12,7 @@
 #include "clique/network.hpp"
 #include "core/color_coding.hpp"
 #include "core/distance_product.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"
 #include "matrix/codec.hpp"

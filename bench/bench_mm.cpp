@@ -19,7 +19,8 @@
 #include "clique/network.hpp"
 #include "clique/socket_transport.hpp"
 #include "core/engine.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
+#include "core/mm_sparse.hpp"
 #include "matrix/codec.hpp"
 #include "matrix/ops.hpp"
 #include "util/rng.hpp"

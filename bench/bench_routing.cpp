@@ -22,7 +22,7 @@
 
 #include "bench_common.hpp"
 #include "clique/routing.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 

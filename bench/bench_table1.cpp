@@ -10,11 +10,11 @@
 #include "clique/network.hpp"
 #include "core/apsp.hpp"
 #include "core/baseline.hpp"
+#include "core/color_coding.hpp"
 #include "core/counting.hpp"
 #include "core/four_cycle.hpp"
 #include "core/girth.hpp"
-#include "core/color_coding.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "graph/generators.hpp"
 #include "matrix/codec.hpp"
 #include "util/fit.hpp"

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "clique/network.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "matrix/codec.hpp"
 #include "matrix/ops.hpp"
 #include "util/rng.hpp"

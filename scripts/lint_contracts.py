@@ -25,6 +25,13 @@ the offending line or the line above):
                         std`, or a .cpp that does not include its own
                         header first (catches headers that only compile
                         because of include order).
+  header-layering       a src/ header other than the three multiplication
+                        engine headers (core/mm.hpp, core/mm_dense.hpp,
+                        core/mm_sparse.hpp) that includes one of them.
+                        Headers reach the engines through core/engine.hpp
+                        (MmKind, MmDispatchContext, AutoEngineChoice); only
+                        .cpp files compile engine bodies, so an engine edit
+                        rebuilds the few translation units that run one.
 
 Multi-process rules (the sharded data plane, clique/socket_transport.hpp):
 
@@ -398,6 +405,28 @@ def lint_header_hygiene(path: Path, raw: str, code: str,
     return findings
 
 
+ENGINE_HEADERS = ("core/mm.hpp", "core/mm_dense.hpp", "core/mm_sparse.hpp")
+
+
+def lint_header_layering(path: Path, lines: list[str]) -> list[Finding]:
+    rel = path.relative_to(REPO)
+    if path.suffix != ".hpp" or rel.parts[0] != "src":
+        return []
+    if str(rel.relative_to("src")) in ENGINE_HEADERS:
+        return []
+    findings = []
+    for i, text in enumerate(lines, start=1):
+        m = INCLUDE_RE.match(text)
+        if m and m.group(1) in ENGINE_HEADERS and not allowed(
+                lines, i, "header-layering"):
+            findings.append(Finding(
+                path, i, "header-layering",
+                f'header includes engine-body header "{m.group(1)}"; '
+                "include core/engine.hpp for the dispatch types and move "
+                "engine calls into a .cpp"))
+    return findings
+
+
 def lint_file(path: Path) -> list[Finding]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -408,6 +437,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings += lint_stale_inbox(path, code, lines)
     findings += lint_semirings(path, raw, code, lines)
     findings += lint_header_hygiene(path, raw, code, lines)
+    findings += lint_header_layering(path, lines)
     return findings
 
 

@@ -408,19 +408,25 @@ class SplitEngine {
       }
     };
 
-    // Start trails at odd-degree vertices first, in ascending vertex order
-    // (bitmap sweep), then close the remaining Eulerian tours the same way.
-    // Untouched vertices carry no bits, so this matches a full 0..2n-1
-    // sweep of the reference implementation; the rem_ gate skips exhausted
-    // vertices without touching the edge arrays (a reference walk_trail
-    // call there is a no-op).
+    walk_all_trails(walk_trail);
+    return false;
+  }
+
+  /// The trail sweep shared by euler_split and trail_split_packed: start
+  /// `walk_trail` at odd-degree vertices first, in ascending vertex order
+  /// (bitmap sweep), then close the remaining Eulerian tours the same way,
+  /// then tear the slot scratch down. Untouched vertices carry no bits, so
+  /// this matches a full 0..2n-1 sweep of the reference implementation; the
+  /// head_ gate skips exhausted vertices (a reference walk there is a
+  /// no-op).
+  template <typename WalkTrail>
+  void walk_all_trails(WalkTrail&& walk_trail) {
     const std::size_t words = mark_.size();
     for (std::size_t w = 0; w < words; ++w) {
       std::uint64_t bits = oddb_[w];
       oddb_[w] = 0;
       while (bits != 0) {
-        const int v = static_cast<int>(w * 64) +
-                      std::countr_zero(bits);
+        const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
         bits &= bits - 1;
         if (head_[static_cast<std::size_t>(v)] >= 0) walk_trail(v);
       }
@@ -438,7 +444,6 @@ class SplitEngine {
       head_[static_cast<std::size_t>(v)] = -1;
       row2_[static_cast<std::size_t>(v)] = 0;  // degree counters, see build
     }
-    return false;
   }
 
   // -------------------------------------------------------------------
@@ -482,29 +487,7 @@ class SplitEngine {
       }
     };
 
-    const std::size_t words = mark_.size();
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = oddb_[w];
-      oddb_[w] = 0;
-      while (bits != 0) {
-        const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (head_[static_cast<std::size_t>(v)] >= 0) walk_trail(v);
-      }
-    }
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = mark_[w];
-      while (bits != 0) {
-        const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (head_[static_cast<std::size_t>(v)] >= 0) walk_trail(v);
-      }
-      mark_[w] = 0;
-    }
-    for (const int v : touched_) {
-      head_[static_cast<std::size_t>(v)] = -1;
-      row2_[static_cast<std::size_t>(v)] = 0;
-    }
+    walk_all_trails(walk_trail);
     lo.resize(static_cast<std::size_t>(out[0] - lo.data()));
     hi.resize(static_cast<std::size_t>(out[1] - hi.data()));
   }

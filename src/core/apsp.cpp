@@ -5,7 +5,7 @@
 #include "clique/fault.hpp"
 #include "clique/primitives.hpp"
 #include "core/distance_product.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "matrix/semiring.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"

@@ -15,37 +15,6 @@ namespace {
 
 constexpr std::int64_t kInf = MinPlusSemiring::kInf;
 
-struct WDistCodec {
-  using Value = WDist;
-  [[nodiscard]] std::size_t words_for(std::size_t entries) const noexcept {
-    return 2 * entries;
-  }
-  void encode_into(std::span<const Value> vals, clique::Word* out) const {
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      out[2 * i] = static_cast<clique::Word>(vals[i].d);
-      out[2 * i + 1] = static_cast<clique::Word>(vals[i].w);
-    }
-  }
-  void decode_into(const clique::Word* words, std::size_t count,
-                   Value* out) const {
-    for (std::size_t i = 0; i < count; ++i)
-      out[i] = {static_cast<std::int64_t>(words[2 * i]),
-                static_cast<std::int64_t>(words[2 * i + 1])};
-  }
-  void encode_block(const std::vector<Value>& vals,
-                    std::vector<clique::Word>& out) const {
-    const std::size_t base = out.size();
-    out.resize(base + words_for(vals.size()));
-    encode_into(vals, out.data() + base);
-  }
-  [[nodiscard]] std::vector<Value> decode_block(const clique::Word* words,
-                                                std::size_t count) const {
-    std::vector<Value> out(count);
-    decode_into(words, count, out.data());
-    return out;
-  }
-};
-
 /// Lift S entries to carry their column index as witness. Infinite entries
 /// lift to the EXACT semiring zero {kInf, -1} — not {kInf, j} — so the
 /// sparse engine's pattern scan (and the Auto dispatcher's announcement)
@@ -87,39 +56,51 @@ WitnessedProduct unpack_witnessed(const Matrix<WDist>& prod) {
   return o;
 }
 
+/// B witnessed distance products through one batched witness-semiring
+/// engine call: lift every operand pair (S entries carry their column index
+/// as witness, T entries none — node-local row transforms on the worker
+/// group), run `engine` on the lifted batch, and project each product back.
+template <typename Engine>
+std::vector<WitnessedProduct> witnessed_batch(
+    std::span<const Matrix<std::int64_t>> ss,
+    std::span<const Matrix<std::int64_t>> ts, Engine&& engine) {
+  const std::size_t batch = ss.size();
+  CCA_EXPECTS(batch >= 1);
+  detail::expect_batch_shapes(ss[0].rows(), ss, ts);
+  std::vector<Matrix<WDist>> ws(batch), wt(batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    ws[b] = lift_with_witness(ss[b]);
+    wt[b] = lift_plain(ts[b]);
+  }
+  const auto prods = engine(std::span<const Matrix<WDist>>(ws),
+                            std::span<const Matrix<WDist>>(wt));
+  std::vector<WitnessedProduct> out;
+  out.reserve(batch);
+  for (std::size_t b = 0; b < batch; ++b)
+    out.push_back(unpack_witnessed(prods[b]));
+  return out;
+}
+
 }  // namespace
 
 Matrix<std::int64_t> dp_semiring(clique::Network& net,
                                  const Matrix<std::int64_t>& s,
                                  const Matrix<std::int64_t>& t) {
-  const MinPlusSemiring sr;
-  const I64Codec codec;
-  return mm_semiring_3d(net, sr, codec, s, t);
+  return mm_semiring_3d(net, MinPlusSemiring{}, I64Codec{}, s, t);
 }
 
 Matrix<std::int64_t> dp_semiring_auto(clique::Network& net,
                                       const Matrix<std::int64_t>& s,
                                       const Matrix<std::int64_t>& t) {
-  const MinPlusSemiring sr;
-  const I64Codec codec;
-  return mm_semiring_auto(net, sr, codec, s, t);
-}
-
-Matrix<std::int64_t> dp_semiring_sparse(clique::Network& net,
-                                        const Matrix<std::int64_t>& s,
-                                        const Matrix<std::int64_t>& t) {
-  const MinPlusSemiring sr;
-  const I64Codec codec;
-  return mm_semiring_sparse(net, sr, codec, s, t);
+  return mm_semiring_auto(net, MinPlusSemiring{}, I64Codec{}, s, t);
 }
 
 WitnessedProduct dp_semiring_witness_sparse(clique::Network& net,
                                             const Matrix<std::int64_t>& s,
                                             const Matrix<std::int64_t>& t) {
-  const WitnessMinPlus sr;
-  const WDistCodec codec;
-  return unpack_witnessed(
-      mm_semiring_sparse(net, sr, codec, lift_with_witness(s), lift_plain(t)));
+  return unpack_witnessed(mm_semiring_sparse(net, WitnessMinPlus{},
+                                             WDistCodec{}, lift_with_witness(s),
+                                             lift_plain(t)));
 }
 
 WitnessedProduct dp_semiring_witness_auto(clique::Network& net,
@@ -135,23 +116,10 @@ WitnessedProduct dp_semiring_witness_auto(clique::Network& net,
 std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(
     clique::Network& net, std::span<const Matrix<std::int64_t>> ss,
     std::span<const Matrix<std::int64_t>> ts, MmDispatchContext* ctx) {
-  const std::size_t batch = ss.size();
-  CCA_EXPECTS(batch >= 1 && ts.size() == batch);
-  const WitnessMinPlus sr;
-  const WDistCodec codec;
-  std::vector<Matrix<WDist>> ws(batch), wt(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ws[b] = lift_with_witness(ss[b]);
-    wt[b] = lift_plain(ts[b]);
-  }
-  const auto prods = mm_semiring_auto_batch(
-      net, sr, codec, std::span<const Matrix<WDist>>(ws),
-      std::span<const Matrix<WDist>>(wt), ctx);
-  std::vector<WitnessedProduct> out;
-  out.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    out.push_back(unpack_witnessed(prods[b]));
-  return out;
+  return witnessed_batch(ss, ts, [&](auto ws, auto wt) {
+    return mm_semiring_auto_batch(net, WitnessMinPlus{}, WDistCodec{}, ws, wt,
+                                  ctx);
+  });
 }
 
 WitnessedProduct dp_semiring_witness(clique::Network& net,
@@ -166,31 +134,9 @@ WitnessedProduct dp_semiring_witness(clique::Network& net,
 std::vector<WitnessedProduct> dp_semiring_witness_batch(
     clique::Network& net, std::span<const Matrix<std::int64_t>> ss,
     std::span<const Matrix<std::int64_t>> ts) {
-  const std::size_t batch = ss.size();
-  CCA_EXPECTS(batch >= 1 && ts.size() == batch);
-  const int n = ss[0].rows();
-  for (std::size_t b = 0; b < batch; ++b) {
-    CCA_EXPECTS(ss[b].rows() == n && ss[b].cols() == n);
-    CCA_EXPECTS(ts[b].rows() == n && ts[b].cols() == n);
-  }
-  // Lift: S entries carry their column index as witness, T entries none
-  // (node-local row transforms — run on the worker group).
-  std::vector<Matrix<WDist>> ws(batch), wt(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ws[b] = lift_with_witness(ss[b]);
-    wt[b] = lift_plain(ts[b]);
-  }
-  const WitnessMinPlus sr;
-  const WDistCodec codec;
-  const auto prods = mm_semiring_3d_batch(
-      net, sr, codec, std::span<const Matrix<WDist>>(ws),
-      std::span<const Matrix<WDist>>(wt));
-
-  std::vector<WitnessedProduct> out;
-  out.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    out.push_back(unpack_witnessed(prods[b]));
-  return out;
+  return witnessed_batch(ss, ts, [&](auto ws, auto wt) {
+    return mm_semiring_3d_batch(net, WitnessMinPlus{}, WDistCodec{}, ws, wt);
+  });
 }
 
 Matrix<std::int64_t> dp_ring_embedded(clique::Network& net,

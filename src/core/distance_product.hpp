@@ -26,21 +26,13 @@
 
 namespace cca::core {
 
-struct MmDispatchContext;  // core/mm.hpp — iterated-dispatch state
+struct MmDispatchContext;  // core/engine.hpp — iterated-dispatch state
 
 /// Exact distance product P = S * T (min-plus) in O(n^{1/3}) rounds.
 /// Requires net.n() == dimension of S, T and a perfect cube.
 [[nodiscard]] Matrix<std::int64_t> dp_semiring(clique::Network& net,
                                                const Matrix<std::int64_t>& s,
                                                const Matrix<std::int64_t>& t);
-
-/// Exact distance product via the FIXED sparse engine: finite entries are
-/// the min-plus nonzeros (kInf is the annihilating semiring zero the
-/// documented Semiring contract licenses skipping), so rounds scale with
-/// the finite-entry volume. Any net.n() == dimension is admissible.
-[[nodiscard]] Matrix<std::int64_t> dp_semiring_sparse(
-    clique::Network& net, const Matrix<std::int64_t>& s,
-    const Matrix<std::int64_t>& t);
 
 /// Sparsity-sensitive exact distance product: finite entries are the
 /// min-plus nonzeros, so a graph with few edges (most pairs at infinity)
@@ -69,7 +61,7 @@ struct WitnessedProduct {
 /// sparse engine lifted to the min-plus-with-witness semiring, whose zero
 /// {inf, -1} is an additive identity AND two-sided annihilator (infinite
 /// entries lift to exactly that zero), so finite entries are the nonzeros
-/// just as in dp_semiring_sparse. Distances AND witnesses are
+/// and rounds scale with the finite-entry volume. Distances AND witnesses are
 /// element-identical to dp_semiring_witness: the lexicographic witness add
 /// is a total-order min, so no merge order can change the chosen witness —
 /// but callers should rely only on the documented witness contract

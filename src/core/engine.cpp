@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include "clique/fault.hpp"
+#include "core/mm.hpp"
 
 namespace cca::core {
 
@@ -53,34 +54,9 @@ Matrix<std::int64_t> IntMmEngine::multiply(clique::Network& net,
                                            const Matrix<std::int64_t>& a,
                                            const Matrix<std::int64_t>& b,
                                            MmDispatchContext* ctx) const {
-  CCA_EXPECTS(net.n() == clique_n_);
-  CCA_VALIDATE(a.rows() == a.cols() && b.rows() == b.cols(),
-               "input matrices must be square");
-  CCA_VALIDATE(a.rows() == clique_n_ && b.rows() == clique_n_,
-               "matrix dimensions must match the engine's clique size");
-  const IntRing ring;
-  const I64Codec codec;
-  // A product is a pure protocol over the captured inputs, so a crash mid
-  // product (typed PeerFailure from a hardened deliver) simply re-runs it
-  // after charged liveness votes — this hardens every engine built on
-  // multiply: Seidel APSP, triangle/cycle counting, girth, color coding.
-  return clique::with_peer_recovery(net, [&] {
-    switch (kind_) {
-      case MmKind::Fast:
-        return mm_fast_bilinear(net, ring, codec, alg_, a, b);
-      case MmKind::Semiring3D:
-        return mm_semiring_3d(net, ring, codec, a, b);
-      case MmKind::Naive:
-        return mm_naive_broadcast(net, ring, 1, a, b);
-      case MmKind::Auto:
-        // The bilinear candidate is full-ownership-only (its coefficient
-        // combination reads every node's blocks), so a sharded dispatch
-        // drops it — every rank plans the same candidate set either way.
-        return mm_semiring_auto(net, ring, codec, a, b, ctx,
-                                fast_ok_ && net.owns_all() ? &alg_ : nullptr);
-    }
-    return Matrix<std::int64_t>{};
-  });
+  auto res = multiply_batch(net, std::span<const Matrix<std::int64_t>>(&a, 1),
+                            std::span<const Matrix<std::int64_t>>(&b, 1), ctx);
+  return std::move(res.front());
 }
 
 std::vector<Matrix<std::int64_t>> IntMmEngine::multiply_batch(
@@ -100,7 +76,11 @@ std::vector<Matrix<std::int64_t>> IntMmEngine::multiply_batch(
   }
   const IntRing ring;
   const I64Codec codec;
-  // Same idempotent re-run recovery as multiply(), for the whole batch.
+  // A batch is a pure protocol over the captured inputs, so a crash mid
+  // batch (typed PeerFailure from a hardened deliver) simply re-runs it
+  // after charged liveness votes — this hardens every engine built on
+  // multiply(_batch): Seidel APSP, triangle/cycle counting, girth, color
+  // coding.
   return clique::with_peer_recovery(net, [&] {
     switch (kind_) {
       case MmKind::Fast:
@@ -115,7 +95,9 @@ std::vector<Matrix<std::int64_t>> IntMmEngine::multiply_batch(
         return out;
       }
       case MmKind::Auto:
-        // Same full-ownership gate on the bilinear candidate as multiply().
+        // The bilinear candidate is full-ownership-only (its coefficient
+        // combination reads every node's blocks), so a sharded dispatch
+        // drops it — every rank plans the same candidate set either way.
         return mm_semiring_auto_batch(
             net, ring, codec, as, bs, ctx,
             fast_ok_ && net.owns_all() ? &alg_ : nullptr);

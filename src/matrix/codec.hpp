@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "matrix/poly.hpp"
+#include "matrix/semiring.hpp"
 #include "util/contracts.hpp"
 
 namespace cca {
@@ -236,6 +237,29 @@ struct PolyCodec {
     std::vector<Value> out(count);
     decode_into(words, count, out.data());
     return out;
+  }
+};
+
+/// Witnessed min-plus entries (WDist): two words per entry, the distance
+/// then the witness — the "entries cost two words" of the witnessed
+/// distance products behind exact APSP. Only the engines use it, so it
+/// has only the zero-copy forms.
+struct WDistCodec {
+  using Value = WDist;
+  [[nodiscard]] std::size_t words_for(std::size_t entries) const noexcept {
+    return 2 * entries;
+  }
+  void encode_into(std::span<const Value> vals, EncodedWord* out) const {
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      out[2 * i] = static_cast<EncodedWord>(vals[i].d);
+      out[2 * i + 1] = static_cast<EncodedWord>(vals[i].w);
+    }
+  }
+  void decode_into(const EncodedWord* words, std::size_t count,
+                   Value* out) const {
+    for (std::size_t i = 0; i < count; ++i)
+      out[i] = {static_cast<std::int64_t>(words[2 * i]),
+                static_cast<std::int64_t>(words[2 * i + 1])};
   }
 };
 

@@ -15,7 +15,7 @@
 #include "core/counting.hpp"
 #include "core/distance_product.hpp"
 #include "core/engine.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"
 #include "matrix/codec.hpp"

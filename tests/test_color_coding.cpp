@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/color_coding.hpp"
-#include "core/mm.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"
 

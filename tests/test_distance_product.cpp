@@ -6,7 +6,7 @@
 
 #include "clique/network.hpp"
 #include "core/distance_product.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/semiring.hpp"
 #include "util/rng.hpp"

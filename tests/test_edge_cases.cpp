@@ -13,7 +13,7 @@
 #include "core/engine.hpp"
 #include "core/four_cycle.hpp"
 #include "core/girth.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"
 #include "matrix/codec.hpp"

@@ -10,7 +10,7 @@
 #include "core/apsp.hpp"
 #include "core/counting.hpp"
 #include "core/distance_product.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "core/witness.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"

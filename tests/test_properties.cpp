@@ -5,7 +5,7 @@
 
 #include "clique/network.hpp"
 #include "core/engine.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "matrix/codec.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/poly.hpp"

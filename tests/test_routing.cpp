@@ -8,7 +8,7 @@
 #include "clique/network.hpp"
 #include "clique/primitives.hpp"
 #include "clique/routing.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "util/rng.hpp"
 
 namespace cca::clique {

@@ -19,7 +19,8 @@
 #include "core/distance_product.hpp"
 #include "core/engine.hpp"
 #include "core/girth.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
+#include "core/mm_sparse.hpp"
 #include "core/witness.hpp"
 #include "graph/generators.hpp"
 #include "matrix/codec.hpp"

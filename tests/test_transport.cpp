@@ -29,7 +29,7 @@
 #include "clique/routing.hpp"
 #include "clique/socket_transport.hpp"
 #include "clique/transport.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
 #include "util/rng.hpp"
 
 namespace cca::clique {

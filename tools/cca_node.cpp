@@ -38,7 +38,8 @@
 #include "core/apsp.hpp"
 #include "core/counting.hpp"
 #include "core/engine.hpp"
-#include "core/mm.hpp"
+#include "core/mm_dense.hpp"
+#include "core/mm_sparse.hpp"
 #include "graph/generators.hpp"
 #include "matrix/codec.hpp"
 #include "matrix/semiring.hpp"

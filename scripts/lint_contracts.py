@@ -32,6 +32,11 @@ the offending line or the line above):
                         (MmKind, MmDispatchContext, AutoEngineChoice); only
                         .cpp files compile engine bodies, so an engine edit
                         rebuilds the few translation units that run one.
+  input-validate        a CCA_EXPECTS in src/core/*.cpp whose condition
+                        reads the Graph argument (`g.`). A caller's graph is
+                        user input: reject it with CCA_VALIDATE, which
+                        throws InvalidArgument in every contract mode,
+                        instead of aborting the process (util/contracts.hpp).
 
 Multi-process rules (the sharded data plane, clique/socket_transport.hpp):
 
@@ -85,6 +90,8 @@ PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$", re.MULTILINE)
 USING_STD_RE = re.compile(r"^\s*using\s+namespace\s+std\s*;")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 ZERO_CONTRACT_RE = re.compile(r"zero[\s-]contract|ZeroSkipAudit", re.IGNORECASE)
+EXPECTS_RE = re.compile(r"\bCCA_EXPECTS\s*\(")
+GRAPH_ARG_RE = re.compile(r"\bg\.")
 
 
 class Finding:
@@ -427,6 +434,23 @@ def lint_header_layering(path: Path, lines: list[str]) -> list[Finding]:
     return findings
 
 
+def lint_input_validate(path: Path, code: str,
+                        lines: list[str]) -> list[Finding]:
+    if path.suffix != ".cpp" or path.parent != REPO / "src" / "core":
+        return []
+    findings = []
+    for m in EXPECTS_RE.finditer(code):
+        if not GRAPH_ARG_RE.search(first_argument(code, m.end() - 1)):
+            continue
+        ln = line_of(code, m.start())
+        if not allowed(lines, ln, "input-validate"):
+            findings.append(Finding(
+                path, ln, "input-validate",
+                "CCA_EXPECTS checks the caller's graph; bad user input must "
+                "throw InvalidArgument — use CCA_VALIDATE"))
+    return findings
+
+
 def lint_file(path: Path) -> list[Finding]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -438,6 +462,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings += lint_semirings(path, raw, code, lines)
     findings += lint_header_hygiene(path, raw, code, lines)
     findings += lint_header_layering(path, lines)
+    findings += lint_input_validate(path, code, lines)
     return findings
 
 

@@ -19,8 +19,9 @@
 // its schedules are cached per demand shape. The data plane (staging
 // buffers, delivery arena, inboxes) lives behind the clique::Transport seam
 // (transport.hpp); the in-process
-// ArenaTransport is the default backend, and a future multi-process backend
-// slots in without touching any round accounting.
+// ArenaTransport is the default backend, and the multi-process
+// SocketTransport (socket_transport.hpp) slots in without touching any round
+// accounting.
 //
 // Fault model (fault.hpp): installing a FaultPlan hardens every deliver() —
 // payloads are framed with SplitMix64 checksums (one trailer word per

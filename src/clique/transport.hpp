@@ -4,10 +4,10 @@
 // (clique::Network: demand scheduling, round charging, TrafficStats, the
 // fault/integrity machinery) and the mechanism that physically moves staged
 // words into receiver inboxes. The in-process arena simulator below is the
-// default backend; a future multi-process backend (ROADMAP open item 1)
-// implements the same six operations over real sockets while Network's
-// accounting — which only ever sees the canonical demand list — stays
-// byte-for-byte identical.
+// default backend; the multi-process backend (SocketTransport,
+// socket_transport.hpp) implements the same operations over real sockets
+// while Network's accounting — which only ever sees the canonical demand
+// list — stays byte-for-byte identical.
 //
 // Contract mirror of the former Network data plane:
 //  * staging is per-source exclusive and may run under cca::parallel_for

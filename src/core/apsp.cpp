@@ -108,92 +108,15 @@ ApspOutcome make_trivial(const Graph& g) {
 }  // namespace
 
 ApspOutcome apsp_semiring(const Graph& g, MmKind kind) {
-  CCA_VALIDATE(kind == MmKind::Auto || kind == MmKind::Semiring3D,
-               "apsp_semiring supports MmKind::Auto and MmKind::Semiring3D");
-  const int n = g.n();
-  if (n <= 1) return make_trivial(g);
-
-  const int big = semiring_clique_size(n);
-  clique::Network net(big);
-  // Sharded execution (an ambient TransportScope made the internal Network
-  // a proper shard): both engines read and write only owned rows, so the
-  // iteration is self-consistent — Auto's nnz census announces owned rows
-  // and rebuilds the non-owned pattern rows as common knowledge, so every
-  // rank reaches the identical dispatch (non-owned iterate rows are the
-  // semiring zero after the first squaring, exactly what the census
-  // repairs). On return only the owned rows of dist/next_hop are
-  // authoritative.
-  const clique::NodeSpan own = net.owned();
-
-  auto d = pad_matrix(g.weight_matrix(), big, kInf);
-  Matrix<int> next(n, n, -1);
-  for (int u = 0; u < n; ++u)
-    for (const auto& [v, w] : g.out_arcs(u)) {
-      (void)w;
-      next(u, v) = v;
-    }
-
-  // Upper bound on the squarings ever needed; the convergence vote below
-  // exits as soon as an iterate stops improving. The dispatch context
-  // carries the per-iteration nnz dispatch (Auto): sparse rounds while the
-  // iterate is mostly infinite, a locked dense engine once it fills in.
-  const int iters = squaring_iterations(n);
-  MmDispatchContext ctx;
-  for (int it = 0; it < iters; ++it) {
-    // Crash recovery: a squaring that dies mid-protocol (typed PeerFailure
-    // out of a hardened deliver) restarts from the CURRENT iterate after
-    // charged liveness votes — sound because min-plus squaring is
-    // idempotent, so re-squaring an iterate never overshoots the fixpoint.
-    auto [d2, q] = clique::with_peer_recovery(net, [&] {
-      return kind == MmKind::Auto ? dp_semiring_witness_auto(net, d, d, &ctx)
-                                  : dp_semiring_witness(net, d, d);
-    });
-    // Improvement flags feed the convergence vote; entries outside the
-    // real n x n corner are inert (padded rows are all-infinite), so
-    // scanning the real rows is exact. Each rank scans only its OWNED
-    // rows (the only authoritative ones under sharding; everything
-    // in-process) — the vote broadcast below syncs the rest.
-    std::vector<clique::Word> improved_row(static_cast<std::size_t>(big), 0);
-    for (int u = own.begin; u < std::min(own.end, n); ++u)
-      for (int v = 0; v < n; ++v) {
-        if (d2(u, v) >= d(u, v)) continue;
-        improved_row[static_cast<std::size_t>(u)] = 1;
-        const int w = q(u, v);
-        CCA_ASSERT(w >= 0 && w < n && w != u);
-        // The witness w splits the improved path; its first hop is already
-        // known at node u (routing-table invariant of Section 3.3).
-        next(u, v) = next(u, w);
-      }
-    d = std::move(d2);
-    if (it + 1 == iters) break;  // hop bound reached: nothing to decide
-    // Convergence vote, charged for real like agree_on_seed: every node
-    // announces "did any entry of my row improve" (one word per link, 1
-    // round) and everyone exits together when nobody improved — min-plus
-    // squaring is monotone, so a fixed point stays fixed. Deriving the
-    // exit decision from the BROADCAST flags makes it identical on every
-    // rank of a sharded run (and unchanged in-process). The seed ran all
-    // squaring_iterations(n) squarings regardless, paying full dense
-    // supersteps to square an already-idempotent matrix.
-    improved_row = clique::broadcast_all(net, std::move(improved_row));
-    const bool improved =
-        std::any_of(improved_row.begin(), improved_row.end(),
-                    [](clique::Word f) { return f != 0; });
-    if (!improved) break;
-  }
-
-  ApspOutcome out;
-  out.dist = d.block(0, 0, n, n);
-  out.next_hop = std::move(next);
-  for (int v = 0; v < n; ++v) CCA_ENSURES(out.dist(v, v) >= 0);
-  out.traffic = net.stats();
-  out.engine_trace = std::move(ctx.trace);
-  return out;
+  auto res = apsp_semiring_batch(std::span<const Graph>(&g, 1), kind);
+  return {std::move(res.dist.front()), std::move(res.next_hop.front()),
+          res.traffic, std::move(res.engine_trace)};
 }
 
 ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
                                      MmKind kind) {
   CCA_VALIDATE(kind == MmKind::Auto || kind == MmKind::Semiring3D,
-               "apsp_semiring_batch supports MmKind::Auto and "
+               "apsp_semiring(_batch) supports MmKind::Auto and "
                "MmKind::Semiring3D");
   const std::size_t batch = gs.size();
   CCA_VALIDATE(batch >= 1, "batch must contain at least one graph");
@@ -211,11 +134,16 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
 
   const int big = semiring_clique_size(max_n);
   clique::Network net(big);
-  // Sharded execution mirrors apsp_semiring: each rank scans only its
-  // owned rows of every member's iterate, and the convergence vote below
-  // derives its exit from the BROADCAST flags, so every rank exits the
-  // same iteration. On return only the owned rows of each dist/next_hop
-  // are authoritative.
+  // Sharded execution (an ambient TransportScope made the internal Network
+  // a proper shard): both engines read and write only owned rows, so the
+  // iteration is self-consistent — Auto's nnz census announces owned rows
+  // and rebuilds the non-owned pattern rows as common knowledge, so every
+  // rank reaches the identical dispatch (non-owned iterate rows are the
+  // semiring zero after the first squaring, exactly what the census
+  // repairs). Each rank scans only its owned rows of every member's
+  // iterate, and the convergence vote below derives its exit from the
+  // BROADCAST flags, so every rank exits the same iteration. On return
+  // only the owned rows of each dist/next_hop are authoritative.
   const clique::NodeSpan own = net.owned();
 
   // Padded per-graph state; graphs smaller than max_n simply carry inert
@@ -234,6 +162,10 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
       }
   }
 
+  // Upper bound on the squarings ever needed; the convergence vote below
+  // exits as soon as every iterate stops improving. The dispatch context
+  // carries the per-iteration nnz dispatch (Auto): sparse rounds while the
+  // iterates are mostly infinite, a locked dense engine once they fill in.
   const int iters = squaring_iterations(max_n);
   MmDispatchContext ctx;
   for (int it = 0; it < iters; ++it) {
@@ -241,8 +173,10 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
     // rides the same two supersteps (nnz-dispatched as a batch under
     // Auto), and the schedule cache replays the Koenig schedule across
     // iterations.
-    // Same idempotent-restart recovery as apsp_semiring: the whole batched
-    // squaring re-runs from the members' current iterates.
+    // Crash recovery: a squaring that dies mid-protocol (typed PeerFailure
+    // out of a hardened deliver) restarts from the CURRENT iterates after
+    // charged liveness votes — sound because min-plus squaring is
+    // idempotent, so re-squaring an iterate never overshoots the fixpoint.
     auto sq = clique::with_peer_recovery(net, [&] {
       return kind == MmKind::Auto
                  ? dp_semiring_witness_batch_auto(
@@ -252,6 +186,9 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
                        net, std::span<const Matrix<std::int64_t>>(d),
                        std::span<const Matrix<std::int64_t>>(d));
     });
+    // Improvement flags feed the convergence vote; entries outside each
+    // real n x n corner are inert (padded rows are all-infinite), so
+    // scanning the real rows is exact.
     std::vector<clique::Word> improved_row(static_cast<std::size_t>(big), 0);
     for (std::size_t b = 0; b < batch; ++b) {
       const int n = gs[b].n();
@@ -262,18 +199,23 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
           improved_row[static_cast<std::size_t>(u)] = 1;
           const int w = q(u, v);
           CCA_ASSERT(w >= 0 && w < n && w != u);
+          // The witness w splits the improved path; its first hop is
+          // already known at node u (routing-table invariant of Section
+          // 3.3).
           next[b](u, v) = next[b](u, w);
         }
       d[b] = std::move(sq[b].dist);
     }
-    if (it + 1 == iters) break;
-    // Shared convergence vote: one round, exiting only when EVERY graph's
-    // iterate stopped improving. Members that converge earlier ride along
-    // unchanged (min-plus squaring is idempotent past convergence), which
-    // is the same shared-iteration-count argument as the padding above —
-    // so one vote word per node stays correct for early-exiting members.
-    // The exit derives from the BROADCAST flags (not the local scan), so
-    // every rank of a sharded run exits the same iteration.
+    if (it + 1 == iters) break;  // hop bound reached: nothing to decide
+    // Convergence vote, charged for real like agree_on_seed: every node
+    // announces "did any entry of my rows improve" (one word per link, 1
+    // round) and everyone exits together when no graph's iterate improved
+    // — min-plus squaring is monotone, so a fixed point stays fixed.
+    // Members that converge earlier ride along unchanged (squaring is
+    // idempotent past convergence), the same shared-iteration-count
+    // argument as the padding above. The exit derives from the BROADCAST
+    // flags (not the local scan), so every rank of a sharded run exits the
+    // same iteration.
     improved_row = clique::broadcast_all(net, std::move(improved_row));
     const bool improved =
         std::any_of(improved_row.begin(), improved_row.end(),

@@ -21,7 +21,9 @@
 //  * apsp_semiring_batch — multi-query engine: B graphs' exact APSP through
 //                          SHARED supersteps (batched witness-carrying
 //                          min-plus squarings; one routing schedule per
-//                          superstep serves the whole batch).
+//                          superstep serves the whole batch). The one
+//                          Corollary 6 body: apsp_semiring is its batch of
+//                          one.
 //
 // All variants return distances indexed by the original graph's nodes;
 // padding to admissible clique sizes is internal. Unreachable pairs hold
@@ -70,6 +72,7 @@ struct ApspOutcome {
 /// path of the seed. Distances and routing tables are element-identical
 /// either way. Dense iterations replay cached Koenig schedules (the
 /// shapes repeat), so the schedule cache still collapses the Euler split.
+/// The batch-of-one instance of apsp_semiring_batch.
 [[nodiscard]] ApspOutcome apsp_semiring(const Graph& g,
                                         MmKind kind = MmKind::Auto);
 

@@ -22,7 +22,8 @@ clique::Word pack_pair(int a, int b) {
 
 BaselineDetectOutcome detect_k_cycle_dolev(const Graph& g, int k) {
   const int n = g.n();
-  CCA_EXPECTS(k >= (g.is_directed() ? 2 : 3));
+  CCA_VALIDATE(k >= (g.is_directed() ? 2 : 3),
+               "k must be >= 3 (>= 2 for directed graphs)");
   if (k > n || n == 0) return {false, {}};
 
   clique::Network net(std::max(1, n));

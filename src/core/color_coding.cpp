@@ -61,7 +61,8 @@ bool detect_colourful_cycle(clique::Network& net, const IntMmEngine& engine,
                             const Matrix<std::int64_t>& a, const Graph& g,
                             const std::vector<int>& colour, int k) {
   CCA_EXPECTS(k >= 2 && k <= 20);
-  CCA_EXPECTS(static_cast<int>(colour.size()) == g.n());
+  CCA_VALIDATE(static_cast<int>(colour.size()) == g.n(),
+               "the colouring must give every node of g a colour");
   CCA_EXPECTS(net.n() == engine.clique_n());
   const unsigned full = (1u << k) - 1;
   ColourfulPathFinder finder(net, engine, a, colour);
@@ -89,7 +90,8 @@ bool detect_colourful_cycle(clique::Network& net, const IntMmEngine& engine,
 DetectOutcome detect_k_cycle_cc(const Graph& g, int k, std::uint64_t seed,
                                 int max_trials, MmKind kind, int depth) {
   const int n = g.n();
-  CCA_EXPECTS(k >= (g.is_directed() ? 2 : 3));
+  CCA_VALIDATE(k >= (g.is_directed() ? 2 : 3),
+               "k must be >= 3 (>= 2 for directed graphs)");
   const IntMmEngine engine(kind, n, depth);
   clique::Network net(engine.clique_n());
 

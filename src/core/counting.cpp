@@ -54,99 +54,25 @@ std::int64_t broadcast_and_sum(clique::Network& net,
   return sum;
 }
 
-/// Batched all-to-all announcement: every node contributes one word PER
-/// GRAPH and all B broadcasts share one superstep (each link carries the B
-/// words, so the direct schedule costs exactly B rounds — the same rounds
-/// as B sequential broadcast_all calls, in one delivery, with the words
-/// actually staged). Returns the per-graph sums.
-std::vector<std::int64_t> broadcast_and_sum_batch(
-    clique::Network& net,
-    const std::vector<std::vector<std::int64_t>>& per_graph) {
-  const int n = net.n();
-  const std::size_t batch = per_graph.size();
-  std::vector<std::int64_t> sums(batch, 0);
-  if (n == 1) {
-    for (std::size_t b = 0; b < batch; ++b) sums[b] = per_graph[b][0];
-    return sums;
-  }
-  parallel_for(0, n, [&](int v) {
-    for (int u = 0; u < n; ++u) {
-      if (u == v) continue;
-      // lint:allow(full-range-staging): sole caller validates owns_all().
-      const auto msg = net.stage(v, u, batch);
-      for (std::size_t b = 0; b < batch; ++b)
-        msg[b] = static_cast<clique::Word>(
-            per_graph[b][static_cast<std::size_t>(v)]);
-    }
-  });
-  net.deliver(clique::Router::Direct);
-  // Sum the DELIVERED words (as node 0 would), own contribution aside: the
-  // result must depend on what the network carried, so a staging-layout
-  // bug surfaces as a wrong count, not as silently-correct local math.
-  for (int v = 0; v < n; ++v) {
-    if (v == 0) {
-      for (std::size_t b = 0; b < batch; ++b) sums[b] += per_graph[b][0];
-      continue;
-    }
-    const auto in = net.inbox(0, v);
-    CCA_ASSERT(in.size() == batch);
-    for (std::size_t b = 0; b < batch; ++b)
-      sums[b] += static_cast<std::int64_t>(in[b]);
-  }
-  return sums;
-}
-
 }  // namespace
 
 CountOutcome count_triangles_cc(const Graph& g, MmKind kind, int depth) {
-  const int n = g.n();
-  const IntMmEngine engine(kind, n, depth);
-  const int big = engine.clique_n();
-  clique::Network net(big);
-
-  const auto a = pad_matrix(g.adjacency(), big, std::int64_t{0});
-  const auto a2 = engine.multiply(net, a, a);
-
-  // tr(A^3) = sum_{u,v} A^2[u,v] A[v,u]; undirected graphs have A symmetric
-  // so A[v,u] is already node u's local data, digraphs need a transpose.
-  Matrix<std::int64_t> at(n, n, 0);
-  if (g.is_directed()) {
-    at = transpose_distributed(net, big, a).block(0, 0, n, n);
-  } else {
-    at = g.adjacency();
-  }
-  // Owned rows only: under sharding they are the authoritative slice of
-  // A^2, and broadcast_and_sum's underlying broadcast syncs the partials.
-  std::vector<std::int64_t> partial(static_cast<std::size_t>(big), 0);
-  const clique::NodeSpan own = net.owned();
-  parallel_for(own.begin, std::min(own.end, n), [&](int u) {
-    std::int64_t acc = 0;
-    for (int v = 0; v < n; ++v) acc += a2(u, v) * at(u, v);
-    partial[static_cast<std::size_t>(u)] = acc;
-  });
-  const auto tr = broadcast_and_sum(net, partial);
-  const std::int64_t divisor = g.is_directed() ? 3 : 6;
-  CCA_ASSERT(tr % divisor == 0);
-  return {tr / divisor, net.stats()};
+  auto res = count_triangles_cc_batch(std::span<const Graph>(&g, 1), kind,
+                                      depth);
+  return {res.counts.front(), res.traffic};
 }
 
 BatchCountOutcome count_triangles_cc_batch(std::span<const Graph> gs,
                                            MmKind kind, int depth) {
   const std::size_t batch = gs.size();
-  CCA_EXPECTS(batch >= 1);
-  int max_n = 1;
-  for (const auto& g : gs) {
-    CCA_EXPECTS(!g.is_directed());
-    max_n = std::max(max_n, g.n());
-  }
+  CCA_VALIDATE(batch >= 1, "batch must contain at least one graph");
+  // max_n starts at 0 so an all-empty batch reaches IntMmEngine's n >= 1
+  // check instead of silently padding to one node.
+  int max_n = 0;
+  for (const auto& g : gs) max_n = std::max(max_n, g.n());
   const IntMmEngine engine(kind, max_n, depth);
   const int big = engine.clique_n();
   clique::Network net(big);
-  // Genuinely full-ownership: the batched partial-sum fold reads node 0's
-  // inboxes.
-  clique::require_full_ownership(
-      net, "count_triangles_cc_batch",
-      "run count_triangles_cc per graph for sharded runs");
 
   // All B squarings A_b^2 through shared supersteps on the one padded
   // clique (smaller graphs ride along with inert zero rows).
@@ -158,27 +84,32 @@ BatchCountOutcome count_triangles_cc_batch(std::span<const Graph> gs,
       net, std::span<const Matrix<std::int64_t>>(as),
       std::span<const Matrix<std::int64_t>>(as));
 
-  // tr(A^3) partials are local per node (A symmetric); the B partial-sum
-  // broadcasts share one superstep.
-  std::vector<std::vector<std::int64_t>> partials(
-      batch, std::vector<std::int64_t>(static_cast<std::size_t>(big), 0));
-  for (std::size_t b = 0; b < batch; ++b) {
-    const int n = gs[b].n();
-    const auto& a2 = a2s[b];
-    const auto at = gs[b].adjacency();
-    parallel_for(0, n, [&](int u) {
-      std::int64_t acc = 0;
-      for (int v = 0; v < n; ++v) acc += a2(u, v) * at(u, v);
-      partials[b][static_cast<std::size_t>(u)] = acc;
-    });
-  }
-  const auto traces = broadcast_and_sum_batch(net, partials);
-
   BatchCountOutcome out;
   out.counts.reserve(batch);
+  const clique::NodeSpan own = net.owned();
   for (std::size_t b = 0; b < batch; ++b) {
-    CCA_ASSERT(traces[b] % 6 == 0);
-    out.counts.push_back(traces[b] / 6);
+    const Graph& g = gs[b];
+    const int n = g.n();
+    const auto& a2 = a2s[b];
+    // tr(A^3) = sum_{u,v} A^2[u,v] A[v,u]; undirected graphs have A
+    // symmetric so A[v,u] is already node u's local data, digraphs need a
+    // transpose superstep of their own.
+    const auto at =
+        g.is_directed()
+            ? transpose_distributed(net, big, as[b]).block(0, 0, n, n)
+            : g.adjacency();
+    // Owned rows only: under sharding they are the authoritative slice of
+    // A^2, and broadcast_and_sum's underlying broadcast syncs the partials.
+    std::vector<std::int64_t> partial(static_cast<std::size_t>(big), 0);
+    parallel_for(own.begin, std::min(own.end, n), [&](int u) {
+      std::int64_t acc = 0;
+      for (int v = 0; v < n; ++v) acc += a2(u, v) * at(u, v);
+      partial[static_cast<std::size_t>(u)] = acc;
+    });
+    const auto tr = broadcast_and_sum(net, partial);
+    const std::int64_t divisor = g.is_directed() ? 3 : 6;
+    CCA_ASSERT(tr % divisor == 0);
+    out.counts.push_back(tr / divisor);
   }
   out.traffic = net.stats();
   return out;
@@ -229,7 +160,8 @@ CountOutcome count_4cycles_cc(const Graph& g, MmKind kind, int depth) {
 }
 
 CountOutcome count_5cycles_cc(const Graph& g, MmKind kind, int depth) {
-  CCA_EXPECTS(!g.is_directed());
+  CCA_VALIDATE(!g.is_directed(),
+               "count_5cycles_cc requires an undirected graph");
   const int n = g.n();
   const IntMmEngine engine(kind, n, depth);
   const int big = engine.clique_n();

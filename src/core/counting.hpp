@@ -36,19 +36,21 @@ struct BatchCountOutcome {
   clique::TrafficStats traffic;
 };
 
-/// Triangle counts for B graphs at once — the multi-query form of
-/// count_triangles_cc: all B products A_b^2 run through shared supersteps
-/// (IntMmEngine::multiply_batch) on one clique padded for the largest
-/// graph, and the B partial-sum broadcasts share their supersteps too (each
-/// node announces B words in one go). Counts are identical to per-graph
-/// runs. Undirected graphs only (the per-graph transpose superstep of the
-/// directed path would serialise the batch).
+/// Triangle counts for B graphs at once — the one triangle-counting body,
+/// of which count_triangles_cc is the batch of one. All B products A_b^2
+/// run through shared supersteps (IntMmEngine::multiply_batch) on one
+/// clique padded for the largest graph; then each graph pays its own
+/// partial-sum broadcast (1 round), plus a transpose superstep when it is
+/// directed. Directed and undirected graphs may mix, and sharded runs are
+/// supported (each rank sums its owned rows). Counts are identical to
+/// per-graph runs.
 [[nodiscard]] BatchCountOutcome count_triangles_cc_batch(
     std::span<const Graph> gs, MmKind kind = MmKind::Auto, int depth = -1);
 
 /// Number of triangles (3-cliques / directed 3-cycles) of g, computed on a
 /// padded clique with the chosen engine. `depth` forces the Strassen tensor
-/// power for MmKind::Fast (-1 = auto).
+/// power for MmKind::Fast (-1 = auto). The batch-of-one instance of
+/// count_triangles_cc_batch.
 [[nodiscard]] CountOutcome count_triangles_cc(const Graph& g,
                                               MmKind kind = MmKind::Auto,
                                               int depth = -1);

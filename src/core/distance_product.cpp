@@ -89,28 +89,12 @@ Matrix<std::int64_t> dp_semiring(clique::Network& net,
   return mm_semiring_3d(net, MinPlusSemiring{}, I64Codec{}, s, t);
 }
 
-Matrix<std::int64_t> dp_semiring_auto(clique::Network& net,
-                                      const Matrix<std::int64_t>& s,
-                                      const Matrix<std::int64_t>& t) {
-  return mm_semiring_auto(net, MinPlusSemiring{}, I64Codec{}, s, t);
-}
-
 WitnessedProduct dp_semiring_witness_sparse(clique::Network& net,
                                             const Matrix<std::int64_t>& s,
                                             const Matrix<std::int64_t>& t) {
   return unpack_witnessed(mm_semiring_sparse(net, WitnessMinPlus{},
                                              WDistCodec{}, lift_with_witness(s),
                                              lift_plain(t)));
-}
-
-WitnessedProduct dp_semiring_witness_auto(clique::Network& net,
-                                          const Matrix<std::int64_t>& s,
-                                          const Matrix<std::int64_t>& t,
-                                          MmDispatchContext* ctx) {
-  auto res = dp_semiring_witness_batch_auto(
-      net, std::span<const Matrix<std::int64_t>>(&s, 1),
-      std::span<const Matrix<std::int64_t>>(&t, 1), ctx);
-  return std::move(res.front());
 }
 
 std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(

@@ -34,18 +34,6 @@ struct MmDispatchContext;  // core/engine.hpp — iterated-dispatch state
                                                const Matrix<std::int64_t>& s,
                                                const Matrix<std::int64_t>& t);
 
-/// Sparsity-sensitive exact distance product: finite entries are the
-/// min-plus nonzeros, so a graph with few edges (most pairs at infinity)
-/// announces its per-row finite counts in one round and dispatches to the
-/// sparse engine when its planned rounds beat the dense 3D path — the
-/// engine-level hook that makes the output of the first few APSP squarings
-/// (still mostly infinite) cheap before the distance matrix fills in.
-/// Admits ANY net.n() == dimension (the 3D candidate needs a cube; the
-/// sparse and naive candidates do not).
-[[nodiscard]] Matrix<std::int64_t> dp_semiring_auto(
-    clique::Network& net, const Matrix<std::int64_t>& s,
-    const Matrix<std::int64_t>& t);
-
 struct WitnessedProduct {
   Matrix<std::int64_t> dist;
   /// witness(u,v) = k with dist(u,v) = S(u,k) + T(k,v); -1 if dist is inf.
@@ -71,18 +59,6 @@ struct WitnessedProduct {
     clique::Network& net, const Matrix<std::int64_t>& s,
     const Matrix<std::int64_t>& t);
 
-/// nnz-adaptive witnessed product: one announcement round of per-row
-/// finite counts, then whichever of the sparse / 3D witness engines plans
-/// fewer rounds runs — the batch-of-one instance of
-/// dp_semiring_witness_batch_auto. `ctx`
-/// (optional) carries the densification hysteresis and engine trace across
-/// iterated squarings — the hook apsp_semiring uses for per-iteration
-/// dispatch: sparse rounds while the iterate is mostly infinite, a single
-/// flip to the dense engine once squaring has filled it in.
-[[nodiscard]] WitnessedProduct dp_semiring_witness_auto(
-    clique::Network& net, const Matrix<std::int64_t>& s,
-    const Matrix<std::int64_t>& t, MmDispatchContext* ctx = nullptr);
-
 /// B independent witnessed distance products through SHARED supersteps
 /// (mm_semiring_3d_batch under the witness-carrying semiring): one routing
 /// schedule per superstep serves the whole batch. Results are
@@ -97,7 +73,10 @@ struct WitnessedProduct {
 /// finite counts are announced through one charged broadcast per product
 /// (B rounds, no staged superstep), then either the batched sparse engine
 /// or the batched 3D engine runs the whole batch. Element-identical to B
-/// dp_semiring_witness calls; the engine under apsp_semiring_batch.
+/// dp_semiring_witness calls; the engine under apsp_semiring_batch. `ctx`
+/// (optional) carries the densification hysteresis and engine trace across
+/// iterated squarings: sparse rounds while the iterates are mostly
+/// infinite, a single flip to the dense engine once they fill in.
 [[nodiscard]] std::vector<WitnessedProduct> dp_semiring_witness_batch_auto(
     clique::Network& net, std::span<const Matrix<std::int64_t>> ss,
     std::span<const Matrix<std::int64_t>> ts,

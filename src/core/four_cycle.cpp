@@ -144,7 +144,8 @@ FourCycleOutcome detect_small(const Graph& g) {
 }  // namespace
 
 FourCycleOutcome detect_4cycle_const(const Graph& g) {
-  CCA_EXPECTS(!g.is_directed());
+  CCA_VALIDATE(!g.is_directed(),
+               "detect_4cycle_const requires an undirected graph");
   const int n = g.n();
   if (n < 32) return detect_small(g);
 

@@ -50,8 +50,9 @@ std::int64_t girth_by_learning(clique::Network& net, const Graph& g) {
 
 GirthOutcome girth_undirected_cc(const Graph& g, std::uint64_t seed,
                                  MmKind kind, int depth, int trial_factor) {
-  CCA_EXPECTS(!g.is_directed());
-  CCA_EXPECTS(trial_factor >= 1);
+  CCA_VALIDATE(!g.is_directed(),
+               "girth_undirected_cc requires an undirected graph");
+  CCA_VALIDATE(trial_factor >= 1, "trial_factor must be >= 1");
   const int n = g.n();
 
   GirthOutcome out;
@@ -148,7 +149,7 @@ GirthOutcome girth_undirected_cc(const Graph& g, std::uint64_t seed,
 }
 
 GirthOutcome girth_directed_cc(const Graph& g, MmKind kind, int depth) {
-  CCA_EXPECTS(g.is_directed());
+  CCA_VALIDATE(g.is_directed(), "girth_directed_cc requires a directed graph");
   const int n = g.n();
   GirthOutcome out;
   if (n == 0) {

@@ -218,5 +218,26 @@ TEST(BatchCounting, TriangleBatchMatchesReference) {
   EXPECT_LT(batch.traffic.rounds, seq_rounds);
 }
 
+TEST(BatchCounting, MixedDirectedAndUndirectedBatchMatchesReference) {
+  // Directed members pay their own transpose superstep and divide tr(A^3)
+  // by 3; undirected members ride along unchanged. Each count must match
+  // its solo run and the centralized reference.
+  std::vector<Graph> gs;
+  gs.push_back(gnp_random_graph(20, 0.4, 21));
+  gs.push_back(gnp_random_graph(20, 0.3, 22, /*directed=*/true));
+  gs.push_back(gnp_random_graph(14, 0.5, 23, /*directed=*/true));
+  gs.push_back(gnp_random_graph(17, 0.5, 24));
+  for (const auto kind : {MmKind::Semiring3D, MmKind::Auto}) {
+    const auto batch = core::count_triangles_cc_batch(
+        std::span<const Graph>(gs.data(), gs.size()), kind);
+    ASSERT_EQ(batch.counts.size(), gs.size());
+    for (std::size_t b = 0; b < gs.size(); ++b) {
+      EXPECT_EQ(batch.counts[b], ref_count_triangles(gs[b])) << "graph " << b;
+      EXPECT_EQ(batch.counts[b], core::count_triangles_cc(gs[b], kind).count)
+          << "graph " << b;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cca

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "clique/network.hpp"
 #include "clique/primitives.hpp"
 #include "core/apsp.hpp"
+#include "core/baseline.hpp"
+#include "core/color_coding.hpp"
 #include "core/counting.hpp"
 #include "core/distance_product.hpp"
 #include "core/engine.hpp"
@@ -232,6 +237,37 @@ TEST(EdgeCases, EngineCliqueSizesMonotone) {
       prev = e.clique_n();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A caller's bad graph is user input: every entry point rejects it with a
+// typed InvalidArgument (never an abort, whatever the contract mode).
+// ---------------------------------------------------------------------------
+
+TEST(EdgeCases, BadGraphArgumentsThrowInvalidArgument) {
+  const auto und = cycle_graph(6);
+  const auto dir = cycle_graph(6, /*directed=*/true);
+  EXPECT_THROW((void)count_5cycles_cc(dir), InvalidArgument);
+  EXPECT_THROW((void)girth_undirected_cc(dir, 1), InvalidArgument);
+  EXPECT_THROW((void)girth_undirected_cc(und, 1, MmKind::Auto, -1, 0),
+               InvalidArgument);
+  EXPECT_THROW((void)girth_directed_cc(und), InvalidArgument);
+  EXPECT_THROW((void)detect_4cycle_const(dir), InvalidArgument);
+  EXPECT_THROW((void)detect_k_cycle_dolev(und, 2), InvalidArgument);
+  EXPECT_THROW((void)detect_k_cycle_cc(und, 2, 1), InvalidArgument);
+  const IntMmEngine engine(MmKind::Semiring3D, 6);
+  clique::Network net(engine.clique_n());
+  const auto a =
+      pad_matrix(und.adjacency(), engine.clique_n(), std::int64_t{0});
+  EXPECT_THROW((void)detect_colourful_cycle(net, engine, a, und,
+                                            std::vector<int>(5, 0), 3),
+               InvalidArgument);
+  // An empty graph reaches IntMmEngine's n >= 1 check, alone or batched.
+  const auto empty = Graph::undirected(0);
+  EXPECT_THROW((void)count_triangles_cc(empty), InvalidArgument);
+  EXPECT_THROW(
+      (void)count_triangles_cc_batch(std::span<const Graph>(&empty, 1)),
+      InvalidArgument);
 }
 
 TEST(EdgeCases, PlanFastMmHugeDepthStillLegal) {

@@ -20,6 +20,7 @@
 #include "clique/socket_transport.hpp"
 #include "clique/transport.hpp"
 #include "core/apsp.hpp"
+#include "core/counting.hpp"
 #include "core/engine.hpp"
 #include "core/mm.hpp"
 #include "graph/generators.hpp"
@@ -458,6 +459,26 @@ TEST(SocketP2Engines, ApspBatchMatchesArenaOracleBitIdentically) {
     for (std::size_t b = 0; b < gs.size(); ++b)
       expect_owned_rows_eq(got.dist[b], oracle.dist[b], own, r);
     EXPECT_EQ(got.engine_trace, oracle.engine_trace) << "rank " << r;
+    expect_stats_eq(got.traffic, oracle.traffic, r);
+  });
+}
+
+TEST(SocketP2Engines, TriangleBatchMatchesArenaOracleBitIdentically) {
+  // Owned-row partial sums synced by one broadcast per graph: the counts
+  // are common knowledge on every rank, and the directed member's
+  // transpose superstep stages only owned sources.
+  const int n = 8;
+  std::vector<Graph> gs;
+  gs.push_back(gnp_random_graph(n, 0.5, 31));
+  gs.push_back(gnp_random_graph(n, 0.4, 32, /*directed=*/true));
+  gs.push_back(gnp_random_graph(n - 2, 0.6, 33));
+  const auto oracle = count_triangles_cc_batch(gs, MmKind::Semiring3D);
+
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    const auto got = count_triangles_cc_batch(gs, MmKind::Semiring3D);
+    EXPECT_EQ(got.counts, oracle.counts) << "rank " << r;
     expect_stats_eq(got.traffic, oracle.traffic, r);
   });
 }

@@ -618,11 +618,12 @@ TEST(SparseApplications, PowerLawTriangles) {
 }
 
 TEST(SparseApplications, DistanceProductAutoMatchesDense) {
-  const int n = 22;  // not a cube: dp_semiring_auto must still work
+  const int n = 22;  // not a cube: min-plus Auto must still work
   const auto g = random_weighted_graph(n, 0.15, 1, 20, 11);
   const auto w = g.weight_matrix();
   clique::Network net(n);
-  const auto got = core::dp_semiring_auto(net, w, w);
+  const auto got =
+      core::mm_semiring_auto(net, MinPlusSemiring{}, I64Codec{}, w, w);
   EXPECT_EQ(got, multiply(MinPlusSemiring{}, w, w));
   EXPECT_GT(net.stats().rounds, 0);
 }

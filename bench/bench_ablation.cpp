@@ -1,10 +1,13 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations of the simulator's design choices:
 //   1. routing discipline inside the MM algorithms (Koenig vs hash vs
 //      random vs direct),
 //   2. Strassen tensor depth in the fast algorithm,
 //   3. padding overhead at non-admissible sizes,
 //   4. witness tracking overhead in the distance product (Section 3.3),
-//   5. colour-coding trial budget vs detection success (Theorem 3).
+//   5. colour-coding trial budget vs detection success (Theorem 3),
+//   6. bit-packed Boolean transport,
+//   7. broadcast vs unicast clique rounds for matrix multiplication
+//      (Corollary 24).
 #include <cstdio>
 
 #include "bench_common.hpp"

@@ -37,6 +37,12 @@ the offending line or the line above):
                         user input: reject it with CCA_VALIDATE, which
                         throws InvalidArgument in every contract mode,
                         instead of aborting the process (util/contracts.hpp).
+  isa-clones            `target_clones` or `__attribute__((target(` in src/
+                        outside the one definition of CCA_ISA_CLONES
+                        (src/matrix/kernels.cpp). The list of ISA levels
+                        the node-local kernels are compiled for lives in
+                        that macro; other code that wants per-ISA clones
+                        uses the macro, so the list changes in one place.
 
 Multi-process rules (the sharded data plane, clique/socket_transport.hpp):
 
@@ -91,6 +97,11 @@ USING_STD_RE = re.compile(r"^\s*using\s+namespace\s+std\s*;")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 ZERO_CONTRACT_RE = re.compile(r"zero[\s-]contract|ZeroSkipAudit", re.IGNORECASE)
 EXPECTS_RE = re.compile(r"\bCCA_EXPECTS\s*\(")
+ISA_ATTR_RE = re.compile(
+    r"\btarget_clones\b|__attribute__\s*\(\(\s*target\s*\(")
+ISA_CLONES_HOME = Path("src/matrix/kernels.cpp")
+ISA_CLONES_DEFINE_RE = re.compile(r"^[ \t]*#[ \t]*define[ \t]+CCA_ISA_CLONES\b",
+                                  re.MULTILINE)
 GRAPH_ARG_RE = re.compile(r"\bg\.")
 
 
@@ -451,6 +462,39 @@ def lint_input_validate(path: Path, code: str,
     return findings
 
 
+def lint_isa_clones(path: Path, code: str,
+                    lines: list[str]) -> list[Finding]:
+    rel = path.relative_to(REPO)
+    if rel.parts[0] != "src":
+        return []
+    home = (0, 0)  # [start, end) of the CCA_ISA_CLONES directive
+    if rel == ISA_CLONES_HOME:
+        m = ISA_CLONES_DEFINE_RE.search(code)
+        if m:
+            end = m.start()
+            while True:  # the directive runs through its continuation lines
+                nl = code.find("\n", end)
+                if nl < 0:
+                    end = len(code)
+                    break
+                end = nl + 1
+                if not code[:nl].rstrip(" \t").endswith("\\"):
+                    break
+            home = (m.start(), end)
+    findings = []
+    for m in ISA_ATTR_RE.finditer(code):
+        if home[0] <= m.start() < home[1]:
+            continue
+        ln = line_of(code, m.start())
+        if not allowed(lines, ln, "isa-clones"):
+            findings.append(Finding(
+                path, ln, "isa-clones",
+                "per-ISA target attribute outside CCA_ISA_CLONES; mark the "
+                "function CCA_ISA_CLONES (src/matrix/kernels.cpp) so the "
+                "ISA list stays in one place"))
+    return findings
+
+
 def lint_file(path: Path) -> list[Finding]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -463,6 +507,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings += lint_header_hygiene(path, raw, code, lines)
     findings += lint_header_layering(path, lines)
     findings += lint_input_validate(path, code, lines)
+    findings += lint_isa_clones(path, code, lines)
     return findings
 
 

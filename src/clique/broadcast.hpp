@@ -7,7 +7,8 @@
 // O(n^{1/3}) / O(n^{1-2/omega}). This simulator variant exists so the gap
 // can be measured: the best broadcast-clique strategy for matrix problems
 // is "everyone announces its input row", costing Theta(n) rounds
-// (bench_broadcast compares the two models directly).
+// (bench_ablation's Ablation 7 and test_extensions.cpp compare the two
+// models directly).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,9 @@ namespace cca::clique {
 /// detection, girth) previously claimed "one round to agree on the shared
 /// seed" while only charging the round (or, in girth's case, nothing);
 /// test_traffic_regression.cpp pins the corrected accounting. Returns the
-/// agreed word (every node's copy is checked against the staged one).
+/// agreed word (every owned node's copy is checked against the staged one).
+/// Ownership-generic: under a sharded transport only src's owner stages,
+/// and every rank calls this in lockstep with the same seed.
 /// Must run between supersteps: any other traffic staged at call time
 /// would be flushed through this delivery and mis-scheduled.
 [[nodiscard]] Word agree_on_seed(Network& net, NodeId src, Word seed);

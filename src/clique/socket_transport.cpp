@@ -394,13 +394,14 @@ std::span<std::byte> SocketTransport::arena_range(NodeId dst, NodeId s_lo,
   const auto lo = in_off_[pair_index(dst, s_lo)];
   const auto hi = in_off_[pair_index(dst, s_hi - 1)] +
                   in_len_[pair_index(dst, s_hi - 1)];
-  return {reinterpret_cast<std::byte*>(arena_.data() + lo),
+  return {reinterpret_cast<std::byte*>(arena_.get() + lo),
           (hi - lo) * sizeof(Word)};
 }
 
 DeliverySummary SocketTransport::deliver() {
   check_phase_change_serial("deliver");
-  count_staged_words();
+  const bool wide = wide_delivery();
+  count_staged_words(wide);
 
   const int me = mesh_->rank();
   const auto nn = static_cast<std::size_t>(n());
@@ -481,7 +482,7 @@ DeliverySummary SocketTransport::deliver() {
                                std::to_string(q) +
                                " disagrees with its count rows");
   }
-  scatter_and_clear_outboxes(own_);
+  scatter_and_clear_outboxes(own_, wide);
   return sum;
 }
 

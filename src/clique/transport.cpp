@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "util/analysis.hpp"
 #include "util/contracts.hpp"
@@ -43,6 +44,17 @@ void check_phase_change_serial(const char* what) {
 #else
   (void)buf;
 #endif
+}
+
+/// Run fn(v) for every v in [begin, end): under cca::parallel_for when the
+/// delivery is wide, inline otherwise.
+template <typename Fn>
+void for_each_node(bool wide, int begin, int end, Fn&& fn) {
+  if (wide) {
+    parallel_for(begin, end, fn);
+    return;
+  }
+  for (int v = begin; v < end; ++v) fn(v);
 }
 
 }  // namespace
@@ -174,56 +186,58 @@ void ArenaTransport::discard_staged() {
   }
 }
 
-void ArenaTransport::count_staged_words() {
-  // Pass 1: per-pair word counts from the staged segments.
-  std::fill(pair_words_.begin(), pair_words_.end(), 0);
-  for (int src = 0; src < n_; ++src) {
-    const auto base = static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(n_);
+bool ArenaTransport::wide_delivery() const noexcept {
+  std::size_t words = 0;
+  for (const auto& data : out_data_) words += data.size();
+  return words >= kWideDeliverWords;
+}
+
+void ArenaTransport::count_staged_words(bool wide) {
+  // Pass 1: per-pair word counts from the staged segments. Source src
+  // writes only its row src*n .. src*n + n of pair_words_.
+  const auto nn = static_cast<std::size_t>(n_);
+  for_each_node(wide, 0, n_, [&](int src) {
+    std::size_t* row = pair_words_.data() + static_cast<std::size_t>(src) * nn;
+    std::fill(row, row + nn, 0);
     for (const auto& seg : out_segs_[static_cast<std::size_t>(src)])
-      pair_words_[base + static_cast<std::size_t>(seg.dst)] += seg.len;
-  }
+      row[static_cast<std::size_t>(seg.dst)] += seg.len;
+  });
 }
 
 DeliverySummary ArenaTransport::summarize_counts() const {
   // Demand list and per-node volumes (self-sends are local and free). The
   // (src asc, dst asc) order matches the routing schedules' expectations.
+  const auto nn = static_cast<std::size_t>(n_);
   DeliverySummary sum;
-  sum.sent_by.assign(static_cast<std::size_t>(n_), 0);
-  sum.recv_by.assign(static_cast<std::size_t>(n_), 0);
-  for (int src = 0; src < n_; ++src) {
-    std::int64_t sent = 0;
-    const auto base = static_cast<std::size_t>(src) *
-                      static_cast<std::size_t>(n_);
-    for (int dst = 0; dst < n_; ++dst) {
-      const auto words =
-          static_cast<std::int64_t>(pair_words_[base +
-                                                static_cast<std::size_t>(dst)]);
-      if (words == 0 || src == dst) continue;
-      sum.demands.push_back({src, dst, words});
-      sent += words;
-      sum.recv_by[static_cast<std::size_t>(dst)] += words;
+  sum.sent_by.assign(nn, 0);
+  sum.recv_by.assign(nn, 0);
+  for (std::size_t src = 0; src < nn; ++src) {
+    const std::size_t* row = pair_words_.data() + src * nn;
+    for (std::size_t dst = 0; dst < nn; ++dst) {
+      const auto words = static_cast<std::int64_t>(row[dst]);
+      if (words == 0 || dst == src) continue;
+      sum.demands.push_back(
+          {static_cast<NodeId>(src), static_cast<NodeId>(dst), words});
+      sum.sent_by[src] += words;
+      sum.recv_by[dst] += words;
       sum.total_words += words;
     }
-    sum.sent_by[static_cast<std::size_t>(src)] = sent;
   }
   return sum;
 }
 
 void ArenaTransport::rebuild_arena(NodeSpan dsts) {
-  // Pass 2: lay out the arena (receiver-major, senders ascending within a
-  // receiver) and scatter every source's staged runs into its slices. The
-  // delivered content is independent of the schedule.
-  std::size_t cursor = 0;
-  for (int dst = dsts.begin; dst < dsts.end; ++dst)
-    for (int src = 0; src < n_; ++src) {
-      const auto idx = pair_index(dst, src);
-      const auto words = pair_words_[static_cast<std::size_t>(src) *
-                                         static_cast<std::size_t>(n_) +
-                                     static_cast<std::size_t>(dst)];
-      in_off_[idx] = cursor;
-      in_len_[idx] = words;
-      cursor += words;
+  // Pass 2a: lay out the arena (receiver-major, senders ascending within a
+  // receiver). The delivered content is independent of the schedule.
+  const auto nn = static_cast<std::size_t>(n_);
+  std::size_t words = 0;
+  for (auto dst = static_cast<std::size_t>(dsts.begin);
+       dst < static_cast<std::size_t>(dsts.end); ++dst)
+    for (std::size_t src = 0; src < nn; ++src) {
+      const auto len = pair_words_[src * nn + dst];
+      in_off_[dst * nn + src] = words;
+      in_len_[dst * nn + src] = len;
+      words += len;
     }
   // Every outstanding staged span and inbox view dies here.
   ++inbox_gen_;
@@ -231,31 +245,36 @@ void ArenaTransport::rebuild_arena(NodeSpan dsts) {
 #ifdef CCA_SANITIZE
   // Rebuild the arena in fresh storage so inbox views held across this
   // deliver() fault under ASan even when the capacity would have sufficed.
-  {
-    std::vector<Word> fresh(cursor);
-    arena_.swap(fresh);
-  }
+  arena_ = std::make_unique_for_overwrite<Word[]>(words);
+  arena_cap_ = words;
 #else
-  arena_.resize(cursor);
+  if (words > arena_cap_) {
+    // Free the old buffer first (lower peak); the capacity is zero until
+    // the new one exists, so a failed allocation cannot leave a stale one.
+    arena_cap_ = 0;
+    arena_.reset();
+    arena_ = std::make_unique_for_overwrite<Word[]>(words);
+    arena_cap_ = words;
+  }
 #endif
 }
 
-void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts) {
-  // pair_words_ is consumed as the per-pair write cursor from here on.
-  std::fill(pair_words_.begin(), pair_words_.end(), 0);
-  for (int src = 0; src < n_; ++src) {
+void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts, bool wide) {
+  // Pass 2b: each source copies its runs into its own arena slices, using
+  // its row of pair_words_ as the per-pair write cursor.
+  const auto nn = static_cast<std::size_t>(n_);
+  for_each_node(wide, 0, n_, [&](int src) {
     const auto s = static_cast<std::size_t>(src);
-    const auto base = s * static_cast<std::size_t>(n_);
+    std::size_t* consumed = pair_words_.data() + s * nn;
+    std::fill(consumed, consumed + nn, 0);
     const Word* read = out_data_[s].data();
     for (const auto& seg : out_segs_[s]) {
-      if (!dsts.contains(seg.dst)) {
-        read += seg.len;
-        continue;
+      if (dsts.contains(seg.dst)) {
+        auto& at = consumed[static_cast<std::size_t>(seg.dst)];
+        std::memcpy(arena_.get() + in_off_[pair_index(seg.dst, src)] + at,
+                    read, static_cast<std::size_t>(seg.len) * sizeof(Word));
+        at += seg.len;
       }
-      auto& consumed = pair_words_[base + static_cast<std::size_t>(seg.dst)];
-      std::memcpy(arena_.data() + in_off_[pair_index(seg.dst, src)] + consumed,
-                  read, static_cast<std::size_t>(seg.len) * sizeof(Word));
-      consumed += seg.len;
       read += seg.len;
     }
 #ifdef CCA_SANITIZE
@@ -266,17 +285,19 @@ void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts) {
     out_data_[s].clear();
 #endif
     out_segs_[s].clear();
-  }
+  });
 }
 
 DeliverySummary ArenaTransport::deliver() {
   // Staging is safe from parallel regions (one src per iteration); the
   // delivery phase change is not — it mutates every outbox and the arena.
+  // Its passes may fan out internally once the caller is serial.
   check_phase_change_serial("deliver");
-  count_staged_words();
+  const bool wide = wide_delivery();
+  count_staged_words(wide);
   auto sum = summarize_counts();
   rebuild_arena({0, n_});
-  scatter_and_clear_outboxes({0, n_});
+  scatter_and_clear_outboxes({0, n_}, wide);
   return sum;
 }
 
@@ -284,7 +305,7 @@ std::span<const Word> ArenaTransport::inbox(NodeId dst, NodeId src) const {
   check_node(dst);
   check_node(src);
   const auto idx = pair_index(dst, src);
-  return {arena_.data() + in_off_[idx], in_len_[idx]};
+  return {arena_.get() + in_off_[idx], in_len_[idx]};
 }
 
 SplitGroup split_group(Transport& t) {
@@ -344,8 +365,8 @@ std::vector<Word> ArenaTransport::take_inbox(NodeId dst, NodeId src) {
   check_node(dst);
   check_node(src);
   const auto idx = pair_index(dst, src);
-  std::vector<Word> out(arena_.data() + in_off_[idx],
-                        arena_.data() + in_off_[idx] + in_len_[idx]);
+  const Word* begin = arena_.get() + in_off_[idx];
+  std::vector<Word> out(begin, begin + in_len_[idx]);
   in_len_[idx] = 0;
   return out;
 }

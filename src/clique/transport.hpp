@@ -11,7 +11,9 @@
 //
 // Contract mirror of the former Network data plane:
 //  * staging is per-source exclusive and may run under cca::parallel_for
-//    (one src per iteration); deliver()/discard_staged() must not.
+//    (one src per iteration); deliver()/discard_staged() must not. A
+//    deliver() is still CALLED serially, but it may fan its own passes out
+//    over the worker pool (ArenaTransport::kWideDeliverWords).
 //  * spans returned by stage() die at the next same-source staging call or
 //    at deliver(); inbox() views die at the next deliver(). The generation
 //    counters (and CCA_SANITIZE's poison relocation) make violations fault
@@ -204,8 +206,17 @@ class TransportScope {
 
 /// The in-process arena backend: per-source flat staged buffers with
 /// run-length destination segments, delivered into one contiguous
-/// receiver-major arena per superstep. This is the former Network data
-/// plane, moved verbatim behind the seam.
+/// receiver-major arena per superstep.
+///
+/// deliver() runs four passes: count, summary, layout and scatter. Count
+/// and scatter work per source, and each source owns disjoint state (its
+/// row of pair_words_, its outbox and its arena slices), so a superstep
+/// staging at least kWideDeliverWords words runs those two under
+/// cca::parallel_for; smaller ones run them inline. The summary and the
+/// layout are one sweep each with a running offset, always inline. The
+/// arena grows without zero-filling: the layout is built from the same
+/// counts that the scatter (and SocketTransport's frame copy) consume, so
+/// every arena word inside a slice is written before any inbox() reads it.
 ///
 /// The staging/arena machinery is deliberately reusable: SocketTransport
 /// derives from it, lays the arena out over its owned receivers only, and
@@ -214,6 +225,12 @@ class TransportScope {
 class ArenaTransport : public Transport {
  public:
   explicit ArenaTransport(int n);
+
+  /// Staged words (summed over every local outbox) from which deliver()
+  /// runs its count and scatter passes under cca::parallel_for. Sized between the workloads
+  /// it separates: colour coding's ~2.6k-word supersteps stay inline,
+  /// the ~0.8M-word APSP squarings and triangle relays go wide.
+  static constexpr std::size_t kWideDeliverWords = std::size_t{1} << 16;
 
   [[nodiscard]] int n() const noexcept override { return n_; }
 
@@ -243,12 +260,17 @@ class ArenaTransport : public Transport {
 
   // deliver() split into its phases so a derived backend can interleave its
   // exchange steps while keeping the canonical summary and arena layout
-  // bit-identical. deliver() == count_staged_words(); summarize_counts();
-  // rebuild_arena({0, n}); scatter_and_clear_outboxes({0, n}).
+  // bit-identical. With wide = wide_delivery(), deliver() ==
+  // count_staged_words(wide); summarize_counts(); rebuild_arena({0, n});
+  // scatter_and_clear_outboxes({0, n}, wide). `wide` runs a pass under
+  // cca::parallel_for; the result is the same either way.
+
+  /// Whether the local outboxes hold at least kWideDeliverWords words.
+  [[nodiscard]] bool wide_delivery() const noexcept;
 
   /// Pass 1: fill pair_words_ (indexed src*n + dst) from the staged
   /// segments of every LOCAL outbox.
-  void count_staged_words();
+  void count_staged_words(bool wide);
 
   /// The canonical DeliverySummary — (src asc, dst asc) demand list with
   /// self/empty pairs excluded, total and per-node volumes — computed from
@@ -258,14 +280,15 @@ class ArenaTransport : public Transport {
 
   /// Pass 2a: lay out the receiver-major arena for the receivers in `dsts`
   /// from pair_words_ (other receivers' inboxes read empty), bump every
-  /// generation (all staged spans and inbox views die), and size the arena.
+  /// generation (all staged spans and inbox views die), and size the arena
+  /// without initialising it.
   void rebuild_arena(NodeSpan dsts);
 
   /// Pass 2b: scatter every LOCAL outbox's runs bound for `dsts` into
   /// their arena slices and release the outboxes (runs to other
   /// destinations were already framed to their owning ranks).
   /// pair_words_ is consumed as the write cursor.
-  void scatter_and_clear_outboxes(NodeSpan dsts);
+  void scatter_and_clear_outboxes(NodeSpan dsts, bool wide);
 
   int n_;
 
@@ -280,10 +303,12 @@ class ArenaTransport : public Transport {
   std::vector<std::vector<Word>> out_data_;      // [src] staged payload
   std::vector<std::vector<Segment>> out_segs_;   // [src] destination runs
 
-  // Delivered words for the current superstep, in one contiguous arena.
+  // Delivered words for the current superstep, in one contiguous arena of
+  // arena_cap_ words (allocated for overwrite: never zero-filled).
   // in_off_/in_len_ (indexed dst*n + src) describe each ordered pair's
-  // slice; deliver() rebuilds all three in a single pass over the outboxes.
-  std::vector<Word> arena_;
+  // slice; deliver() rebuilds all three every superstep.
+  std::unique_ptr<Word[]> arena_;
+  std::size_t arena_cap_ = 0;
   std::vector<std::size_t> in_off_;
   std::vector<std::size_t> in_len_;
   std::vector<std::size_t> pair_words_;          // scratch: src*n + dst

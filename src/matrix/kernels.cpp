@@ -7,6 +7,29 @@
 
 #include "util/contracts.hpp"
 
+// The one place that names the ISA clones (scripts/lint_contracts.py's
+// isa-clones rule holds every other target attribute out of src/). A
+// kernel carrying it is compiled three times, for x86-64-v4 (AVX-512),
+// x86-64-v3 (AVX2) and the baseline, and the loader binds the symbol to
+// the best clone the CPU supports. The clones are the same C++ over
+// integers, so their results are element-identical; only the vector width
+// the compiler may use differs. Only the witness kernel carries it: it is
+// the one kernel whose clone has a measured end-to-end gain (exact APSP);
+// add it to another kernel only with such a measurement. The macro
+// expands to nothing on other platforms, under Clang (no Clang build of
+// the clones has been tested) and under ThreadSanitizer: TSan instruments the generated ifunc resolver, which
+// the loader runs before the TSan runtime starts, so the process would
+// die before main().
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__) &&           \
+    !defined(CCA_TSAN)
+#define CCA_ISA_CLONES                                               \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
+                               "default")))
+#else
+#define CCA_ISA_CLONES
+#endif
+
 namespace cca {
 
 Matrix<std::uint8_t> multiply_bool_packed(const Matrix<std::uint8_t>& a,
@@ -207,6 +230,7 @@ bool in_witness_key_domain(const Matrix<WDist>& a, const Matrix<WDist>& b) {
   return true;
 }
 
+CCA_ISA_CLONES
 Matrix<WDist> multiply_witness_minplus(const Matrix<WDist>& a,
                                        const Matrix<WDist>& b) {
   CCA_EXPECTS(a.cols() == b.rows());

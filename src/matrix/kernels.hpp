@@ -19,6 +19,13 @@
 // entry. Round accounting is untouched — these run strictly between
 // supersteps.
 //
+// Under GCC on x86-64 Linux the witness kernel is compiled once per ISA
+// level (x86-64-v4, x86-64-v3 and the baseline; CCA_ISA_CLONES in
+// kernels.cpp), and the loader binds it to the best clone the CPU
+// supports. The clones are the same integer code, so which one runs never
+// changes a result; the AVX-512 clone keeps the 2x4 tile in vector
+// min/add instructions instead of scalar conditional moves.
+//
 // To add a kernel specialization for a new semiring: implement the kernel,
 // add a non-template local_multiply overload for the semiring type (overload
 // resolution prefers it over the generic template), and extend the

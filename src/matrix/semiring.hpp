@@ -116,9 +116,12 @@ struct WitnessMinPlus {
 
   [[nodiscard]] Value zero() const noexcept { return {kInf, -1}; }
   [[nodiscard]] Value one() const noexcept { return {0, -1}; }
+  /// Lexicographic min as one select, not two data-dependent branches
+  /// (the 3D engine's Step-4 combine calls this once per output entry):
+  /// b wins only when strictly smaller, so ties keep a.
   [[nodiscard]] Value add(const Value& a, const Value& b) const noexcept {
-    if (a.d != b.d) return a.d < b.d ? a : b;
-    return a.w <= b.w ? a : b;
+    const bool take_b = b.d < a.d || (b.d == a.d && b.w < a.w);
+    return take_b ? b : a;
   }
   [[nodiscard]] Value mul(const Value& a, const Value& b) const noexcept {
     if (a.d >= kInf || b.d >= kInf) return {kInf, -1};

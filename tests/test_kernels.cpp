@@ -1,7 +1,9 @@
 // Equivalence tests for the specialized node-local kernels: bit-packed
 // Boolean multiply, the blocked min-plus and integer products, and the
 // packed-key witness min-plus product must agree entry-for-entry with the
-// schoolbook multiply() over the corresponding semiring.
+// schoolbook multiply() over the corresponding semiring. The witness
+// kernel is compiled once per x86-64 ISA level (CCA_ISA_CLONES in
+// kernels.cpp), so its tests check the clone the host's CPU resolves to.
 #include <gtest/gtest.h>
 
 #include <limits>

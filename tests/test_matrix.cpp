@@ -2,6 +2,9 @@
 // Strassen, capped polynomials, codecs.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "matrix/codec.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/ops.hpp"
@@ -241,6 +244,33 @@ TEST(Semirings, MinPlusLaws) {
   EXPECT_EQ(s.mul(s.one(), 7), 7);
   EXPECT_TRUE(MinPlusSemiring::is_inf(inf));
   EXPECT_FALSE(MinPlusSemiring::is_inf(0));
+}
+
+TEST(Semirings, WitnessAddIsLexicographicMin) {
+  // add must pick the lexicographically smaller (d, w) pair, keeping the
+  // left operand on a full tie. Every pair is tried in both orders.
+  const WitnessMinPlus s;
+  const auto inf = WitnessMinPlus::kInf;
+  const std::vector<std::pair<WDist, WDist>> table = {
+      {{3, 1}, {3, 2}},       // equal d, w decides
+      {{3, 7}, {3, -1}},      // equal d, the witness-free entry wins
+      {{3, 4}, {3, 4}},       // full tie
+      {{2, 9}, {5, 0}},       // d decides before w
+      {{inf, -1}, {4, 2}},    // the zero loses to any finite entry
+      {{inf, -1}, {inf, 3}},  // the zero against a planted infinite entry
+      {{-6, 2}, {-2, 0}},     // negative d
+      {{-3, 5}, {-3, 1}},     // negative d, equal
+      {{-1, 0}, {inf, -1}},
+  };
+  auto lexicographic = [](const WDist& a, const WDist& b) {
+    return std::pair(b.d, b.w) < std::pair(a.d, a.w) ? b : a;
+  };
+  for (const auto& [x, y] : table) {
+    EXPECT_EQ(s.add(x, y), lexicographic(x, y))
+        << "{" << x.d << "," << x.w << "} + {" << y.d << "," << y.w << "}";
+    EXPECT_EQ(s.add(y, x), lexicographic(y, x))
+        << "{" << y.d << "," << y.w << "} + {" << x.d << "," << x.w << "}";
+  }
 }
 
 TEST(Semirings, BooleanLaws) {

@@ -20,8 +20,10 @@
 #include "clique/socket_transport.hpp"
 #include "clique/transport.hpp"
 #include "core/apsp.hpp"
+#include "core/color_coding.hpp"
 #include "core/counting.hpp"
 #include "core/engine.hpp"
+#include "core/girth.hpp"
 #include "core/mm.hpp"
 #include "graph/generators.hpp"
 #include "matrix/codec.hpp"
@@ -481,6 +483,57 @@ TEST(SocketP2Engines, TriangleBatchMatchesArenaOracleBitIdentically) {
     EXPECT_EQ(got.counts, oracle.counts) << "rank " << r;
     expect_stats_eq(got.traffic, oracle.traffic, r);
   });
+}
+
+TEST(SocketP2Engines, ColourCodingMatchesArenaOracle) {
+  // Colour coding agrees on each trial's seed from node 0, which only rank
+  // 0 owns: rank 1 must not stage for it.
+  const Graph g = planted_cycle_graph(24, 5, 0.3, 7);
+  for (const MmKind kind : {MmKind::Semiring3D, MmKind::Auto}) {
+    const auto oracle = detect_k_cycle_cc(g, 5, 11, 2, kind);
+    const auto meshes = socket_meshes(2);
+    run_ranks(2, [&](int r) {
+      clique::TransportScope scope(
+          clique::SocketTransport::factory(meshes[r]));
+      const auto got = detect_k_cycle_cc(g, 5, 11, 2, kind);
+      EXPECT_EQ(got.found, oracle.found) << "rank " << r;
+      EXPECT_EQ(got.trials, oracle.trials) << "rank " << r;
+      expect_stats_eq(got.traffic, oracle.traffic, r);
+    });
+  }
+}
+
+TEST(SocketP2Engines, ColourCodingFastRaisesTypedError) {
+  // The fast engine still needs full ownership; under sharding it refuses
+  // with a typed error on every rank instead of aborting.
+  const Graph g = planted_cycle_graph(24, 5, 0.3, 7);
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    EXPECT_THROW((void)detect_k_cycle_cc(g, 5, 11, 2, MmKind::Fast),
+                 InvalidArgument)
+        << "rank " << r;
+  });
+}
+
+TEST(SocketP2Engines, UndirectedGirthMatchesArenaOracle) {
+  // G(27, 0.2) takes the learning path; G(27, 0.3) takes the dense path,
+  // which agrees on the detection seed from node 0 first.
+  for (const double p : {0.2, 0.3}) {
+    const Graph g = gnp_random_graph(27, p, 3);
+    const auto oracle = girth_undirected_cc(g, 5);
+    ASSERT_EQ(oracle.used_sparse_path, p < 0.25) << "p " << p;
+    const auto meshes = socket_meshes(2);
+    run_ranks(2, [&](int r) {
+      clique::TransportScope scope(
+          clique::SocketTransport::factory(meshes[r]));
+      const auto got = girth_undirected_cc(g, 5);
+      EXPECT_EQ(got.girth, oracle.girth) << "p " << p << " rank " << r;
+      EXPECT_EQ(got.used_sparse_path, oracle.used_sparse_path)
+          << "p " << p << " rank " << r;
+      expect_stats_eq(got.traffic, oracle.traffic, r);
+    });
+  }
 }
 
 TEST(SocketP2Engines, FaultMixChargesBitIdenticallyAcrossFourSeeds) {

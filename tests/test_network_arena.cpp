@@ -1,12 +1,15 @@
 // Tests for the flat-arena network data plane: inbox span views, take_inbox
 // ownership semantics, interleaved staging order, staged-encode spans
-// (serial and parallel), and TrafficStats algebra.
+// (serial and parallel), delivery on both sides of the wide-pass cutoff,
+// and TrafficStats algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "clique/network.hpp"
+#include "clique/transport.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -84,41 +87,97 @@ TEST(NetworkArena, SelfSendDeliveredLocally) {
 }
 
 TEST(NetworkArena, RandomizedEquivalenceWithPerPairModel) {
-  // Drive the arena with random interleaved traffic and compare against a
-  // straightforward per-pair queue model.
+  // Drive the arena transport with random interleaved traffic and compare
+  // every inbox and the whole DeliverySummary against a straightforward
+  // per-pair queue model. The n = 40 supersteps alternate between both
+  // sides of kWideDeliverWords on one transport, so the inline and the
+  // parallel delivery passes (and a reused, never zero-filled arena) are
+  // both held to the model. Pairs with (src + 2 dst) % 5 == 0 stay empty
+  // (their ops become self-sends), and source 0 opens every superstep with
+  // two non-adjacent runs to node 1.
+  struct Input {
+    int n;
+    int max_block;
+    std::vector<int> ops;  // per superstep
+  };
+  const std::vector<Input> inputs = {
+      {8, 5, {200, 200, 200, 200, 200}},
+      // ~3000 ops of up to 128 words stage ~98k words; 300 ops ~10k.
+      {40, 128, {3000, 300, 3000}},
+  };
   Rng rng(2024);
-  const int n = 8;
-  Network net(n);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::vector<std::vector<Word>>> model(
-        static_cast<std::size_t>(n),
-        std::vector<std::vector<Word>>(static_cast<std::size_t>(n)));
-    const int ops = 200;
-    for (int i = 0; i < ops; ++i) {
-      const int src = static_cast<int>(rng.next_below(n));
-      const int dst = static_cast<int>(rng.next_below(n));
-      if (rng.next_below(2) == 0) {
-        const Word w = rng.next();
-        net.send(src, dst, w);
-        model[static_cast<std::size_t>(dst)][static_cast<std::size_t>(src)]
-            .push_back(w);
-      } else {
-        std::vector<Word> block(1 + rng.next_below(5));
-        for (auto& w : block) w = rng.next();
-        net.send_words(src, dst, block);
-        auto& q =
-            model[static_cast<std::size_t>(dst)][static_cast<std::size_t>(src)];
+  bool covered_wide = false;
+  bool covered_inline = false;
+  for (const auto& in : inputs) {
+    const int n = in.n;
+    const auto nn = static_cast<std::size_t>(n);
+    ArenaTransport t(n);
+    for (std::size_t step = 0; step < in.ops.size(); ++step) {
+      std::vector<std::vector<std::vector<Word>>> model(
+          nn, std::vector<std::vector<Word>>(nn));
+      std::size_t staged = 0;
+      auto stage = [&](int src, int dst, const std::vector<Word>& block) {
+        if (block.size() == 1)
+          t.send(src, dst, block[0]);
+        else if (block.size() % 2 == 0)
+          t.send_words(src, dst, block);
+        else
+          std::copy(block.begin(), block.end(),
+                    t.stage(src, dst, block.size()).begin());
+        auto& q = model[static_cast<std::size_t>(dst)]
+                       [static_cast<std::size_t>(src)];
         q.insert(q.end(), block.begin(), block.end());
+        staged += block.size();
+      };
+      stage(0, 1, {rng.next()});
+      stage(0, 2, {rng.next(), rng.next()});
+      stage(0, 1, {rng.next()});
+      for (int i = 0; i < in.ops[step]; ++i) {
+        const int src = static_cast<int>(rng.next_below(n));
+        int dst = static_cast<int>(rng.next_below(n));
+        if ((src + 2 * dst) % 5 == 0) dst = src;
+        std::vector<Word> block(
+            rng.next_below(2) == 0 ? 1 : 1 + rng.next_below(in.max_block));
+        for (auto& w : block) w = rng.next();
+        stage(src, dst, block);
       }
-    }
-    net.deliver();
-    for (int dst = 0; dst < n; ++dst)
+      const bool wide = staged >= ArenaTransport::kWideDeliverWords;
+      (wide ? covered_wide : covered_inline) = true;
+
+      DeliverySummary want;
+      want.sent_by.assign(nn, 0);
+      want.recv_by.assign(nn, 0);
       for (int src = 0; src < n; ++src)
-        EXPECT_EQ(to_vector(net.inbox(dst, src)),
-                  model[static_cast<std::size_t>(dst)]
-                       [static_cast<std::size_t>(src)])
-            << "round " << round << " pair (" << dst << "," << src << ")";
+        for (int dst = 0; dst < n; ++dst) {
+          const auto words = static_cast<std::int64_t>(
+              model[static_cast<std::size_t>(dst)]
+                   [static_cast<std::size_t>(src)]
+                       .size());
+          if (words == 0 || src == dst) continue;
+          want.demands.push_back({src, dst, words});
+          want.sent_by[static_cast<std::size_t>(src)] += words;
+          want.recv_by[static_cast<std::size_t>(dst)] += words;
+          want.total_words += words;
+        }
+
+      const auto got = t.deliver();
+      const auto where = ::testing::Message()
+                         << "n " << n << " superstep " << step
+                         << (wide ? " (wide)" : " (inline)");
+      EXPECT_EQ(got.demands, want.demands) << where;
+      EXPECT_EQ(got.sent_by, want.sent_by) << where;
+      EXPECT_EQ(got.recv_by, want.recv_by) << where;
+      EXPECT_EQ(got.total_words, want.total_words) << where;
+      for (int dst = 0; dst < n; ++dst)
+        for (int src = 0; src < n; ++src)
+          EXPECT_EQ(to_vector(t.inbox(dst, src)),
+                    model[static_cast<std::size_t>(dst)]
+                         [static_cast<std::size_t>(src)])
+              << where << " pair (" << dst << "," << src << ")";
+    }
   }
+  EXPECT_TRUE(covered_wide);
+  EXPECT_TRUE(covered_inline);
 }
 
 TEST(NetworkArena, StageReturnsWritableSpanDeliveredFifo) {

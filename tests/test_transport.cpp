@@ -367,36 +367,45 @@ TEST_P(SharedSplit, EveryRankGetsTheInProcessSchedule) {
 
 TEST(SocketTransportP3, DeliverCrossesEveryRankPair) {
   // Odd P through the one-frame-per-peer deliver: every node sends to
-  // every other node, so every rank pair carries payload both ways.
+  // every other node, so every rank pair carries payload both ways. The
+  // second superstep stages (src + 1) * 4096 words per pair, so every rank
+  // stages more than ArenaTransport::kWideDeliverWords and runs the wide
+  // delivery passes over its owned span.
   const int n = 7;
   const auto m = socket_meshes(3);
   std::vector<std::unique_ptr<SocketTransport>> ts;
   for (const auto& mesh : m)
     ts.push_back(std::make_unique<SocketTransport>(n, mesh));
-  std::vector<DeliverySummary> sums(3);
-  run_ranks(3, [&](int r) {
-    auto& t = *ts[static_cast<std::size_t>(r)];
-    const NodeSpan own = t.owned();
-    for (NodeId src = own.begin; src < own.end; ++src)
-      for (NodeId dst = 0; dst < n; ++dst)
-        if (dst != src)
-          t.send_words(src, dst,
-                       std::vector<Word>(static_cast<std::size_t>(src + 1),
-                                         static_cast<Word>(10 * src + dst)));
-    sums[static_cast<std::size_t>(r)] = t.deliver();
-  });
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands, sums[0].demands);
-    EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands.size(), 42u);
-    const auto& t = *ts[static_cast<std::size_t>(r)];
-    for (NodeId dst = t.owned().begin; dst < t.owned().end; ++dst)
-      for (NodeId src = 0; src < n; ++src) {
-        if (src == dst) continue;
-        EXPECT_EQ(to_vector(t.inbox(dst, src)),
-                  std::vector<Word>(static_cast<std::size_t>(src + 1),
-                                    static_cast<Word>(10 * src + dst)))
-            << "rank " << r << " inbox (" << dst << ", " << src << ")";
-      }
+  for (const std::size_t scale : {1, 4096}) {
+    const auto len = [scale](NodeId src) {
+      return static_cast<std::size_t>(src + 1) * scale;
+    };
+    std::vector<DeliverySummary> sums(3);
+    run_ranks(3, [&](int r) {
+      auto& t = *ts[static_cast<std::size_t>(r)];
+      const NodeSpan own = t.owned();
+      for (NodeId src = own.begin; src < own.end; ++src)
+        for (NodeId dst = 0; dst < n; ++dst)
+          if (dst != src)
+            t.send_words(src, dst,
+                         std::vector<Word>(len(src),
+                                           static_cast<Word>(10 * src + dst)));
+      sums[static_cast<std::size_t>(r)] = t.deliver();
+    });
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands, sums[0].demands);
+      EXPECT_EQ(sums[static_cast<std::size_t>(r)].demands.size(), 42u);
+      const auto& t = *ts[static_cast<std::size_t>(r)];
+      for (NodeId dst = t.owned().begin; dst < t.owned().end; ++dst)
+        for (NodeId src = 0; src < n; ++src) {
+          if (src == dst) continue;
+          EXPECT_EQ(to_vector(t.inbox(dst, src)),
+                    std::vector<Word>(len(src),
+                                      static_cast<Word>(10 * src + dst)))
+              << "scale " << scale << " rank " << r << " inbox (" << dst
+              << ", " << src << ")";
+        }
+    }
   }
 }
 

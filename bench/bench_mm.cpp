@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -71,40 +72,104 @@ clique::TrafficStats run_auto(int n, std::int64_t nnz) {
   return net.stats();
 }
 
-clique::TrafficStats run_semiring(int n, MmStepProfile* profile = nullptr) {
+/// A semiring_3d product on `net` with the seeded inputs every series uses.
+struct SemiringInputs {
+  explicit SemiringInputs(int n)
+      : a(random_matrix(n, 1)), b(random_matrix(n, 2)) {}
+  void operator()(clique::Network& net) const {
+    (void)mm_semiring_3d(net, IntRing{}, I64Codec{}, a, b);
+  }
+  Matrix<std::int64_t> a, b;
+};
+
+/// A fast_bilinear product (Strassen^depth, padded to the plan's clique).
+struct FastInputs {
+  FastInputs(int n, int depth)
+      : plan(plan_fast_mm(n, depth)),
+        alg(tensor_power(strassen_algorithm(), depth)),
+        a(pad_matrix(random_matrix(n, 1), plan.clique_n, std::int64_t{0})),
+        b(pad_matrix(random_matrix(n, 2), plan.clique_n, std::int64_t{0})) {}
+  void operator()(clique::Network& net) const {
+    (void)mm_fast_bilinear(net, IntRing{}, I64Codec{}, alg, a, b);
+  }
+  FastPlan plan;
+  BilinearAlgorithm alg;
+  Matrix<std::int64_t> a, b;
+};
+
+clique::TrafficStats run_semiring(int n) {
   clique::Network net(n);
-  const IntRing ring;
-  const I64Codec codec;
-  const auto a = random_matrix(n, 1);
-  const auto b = random_matrix(n, 2);
-  (void)mm_semiring_3d(net, ring, codec, a, b, profile);
+  SemiringInputs{n}(net);
   return net.stats();
 }
 
-clique::TrafficStats run_fast(int n, int depth,
-                              MmStepProfile* profile = nullptr) {
-  const auto plan = plan_fast_mm(n, depth);
-  clique::Network net(plan.clique_n);
-  const IntRing ring;
-  const I64Codec codec;
-  const auto alg = tensor_power(strassen_algorithm(), depth);
-  const auto a = pad_matrix(random_matrix(n, 1), plan.clique_n, std::int64_t{0});
-  const auto b = pad_matrix(random_matrix(n, 2), plan.clique_n, std::int64_t{0});
-  (void)mm_fast_bilinear(net, ring, codec, alg, a, b, profile);
+clique::TrafficStats run_fast(int n, int depth) {
+  const FastInputs product(n, depth);
+  clique::Network net(product.plan.clique_n);
+  product(net);
   return net.stats();
 }
 
-void print_profile(const char* what, const MmStepProfile& profile) {
-  std::int64_t total = 0;
-  for (const auto& s : profile.steps) total += s.ns;
-  std::printf("%s (total %.1f ms):\n", what,
-              static_cast<double>(total) / 1e6);
-  for (const auto& s : profile.steps)
-    std::printf("  %-24s %9.2f ms  (%4.1f%%)\n", s.name,
-                static_cast<double>(s.ns) / 1e6,
-                total > 0 ? 100.0 * static_cast<double>(s.ns) /
-                                static_cast<double>(total)
-                          : 0.0);
+/// --steps: run `product` once on an n-clique under a SuperstepRecorder and
+/// fold the records into one row per superstep. Superstep i's row splits
+/// the wall from the previous superstep's end to its own end:
+///   compute   until its first staging call (node-local work),
+///   stage     until Transport::deliver starts (staging and encoding),
+///   transport inside Transport::deliver (data movement),
+///   schedule  Network routing the returned demand list, which runs after
+///             Transport::deliver returns: the growth of schedule_wall_ns
+///             up to the next superstep's entry, or up to the final stats.
+/// The tail is the compute after the last superstep. Returns false, with a
+/// message on stderr, unless there is one row per charged superstep and
+/// the schedule column sums to the network's schedule_wall_ns exactly.
+template <typename Product>
+bool print_steps(const char* what, int n, const Product& product) {
+  auto recorder = std::make_unique<cca::bench::SuperstepRecorder>(n);
+  auto& rec = *recorder;
+  clique::Network net(std::move(recorder));
+  rec.attach(net);
+  const auto t0 = cca::bench::now_ns();
+  product(net);
+  const auto t1 = cca::bench::now_ns();
+
+  const auto& records = rec.records();
+  const auto ms = [](std::int64_t ns) { return static_cast<double>(ns) / 1e6; };
+  std::printf("%s (total %.1f ms, %zu supersteps):\n", what, ms(t1 - t0),
+              records.size());
+  std::printf("  %-9s %12s %12s %12s %12s\n", "superstep", "compute ms",
+              "stage ms", "transport ms", "schedule ms");
+  std::int64_t prev_end = t0;
+  std::int64_t schedule_sum = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    const auto sched_after = i + 1 < records.size()
+                                 ? records[i + 1].schedule_wall_ns
+                                 : net.stats().schedule_wall_ns;
+    const auto schedule = sched_after - r.schedule_wall_ns;
+    const auto staged =
+        r.first_stage_ns != 0 ? r.first_stage_ns : r.deliver_begin_ns;
+    std::printf("  %-9zu %12.2f %12.2f %12.2f %12.2f\n", i + 1,
+                ms(staged - prev_end), ms(r.deliver_begin_ns - staged),
+                ms(r.deliver_end_ns - r.deliver_begin_ns), ms(schedule));
+    schedule_sum += schedule;
+    prev_end = r.deliver_end_ns + schedule;
+  }
+  std::printf("  %-9s %12.2f\n", "tail", ms(t1 - prev_end));
+
+  bool ok = true;
+  if (static_cast<std::int64_t>(records.size()) != net.stats().supersteps) {
+    std::fprintf(stderr, "%s: %zu recorded supersteps != %lld charged\n",
+                 what, records.size(),
+                 static_cast<long long>(net.stats().supersteps));
+    ok = false;
+  }
+  if (schedule_sum != net.stats().schedule_wall_ns) {
+    std::fprintf(stderr, "%s: schedule column %lld ns != schedule_wall_ns "
+                 "%lld ns\n", what, static_cast<long long>(schedule_sum),
+                 static_cast<long long>(net.stats().schedule_wall_ns));
+    ok = false;
+  }
+  return ok;
 }
 
 /// One rank's semiring product over a socket mesh (inputs replicated from
@@ -212,10 +277,9 @@ int run_socket_series(cca::bench::JsonReport& json) {
 
 std::int64_t run_naive(int n) {
   clique::Network net(n);
-  const IntRing ring;
   const auto a = random_matrix(n, 1);
   const auto b = random_matrix(n, 2);
-  (void)mm_naive_broadcast(net, ring, 1, a, b);
+  (void)mm_naive_broadcast(net, IntRing{}, I64Codec{}, a, b);
   return net.stats().rounds;
 }
 
@@ -241,26 +305,25 @@ int main(int argc, char** argv) {
   if (cca::bench::has_flag(argc, argv, "--transport=socket"))
     return run_socket_series(json);
 
-  // --steps: per-step wall-clock breakdown (stage / deliver / local kernel)
-  // for the sizes whose totals the main table reports, then exit. This is
-  // the tool that located the non-monotonic semiring_3d spike at n=343.
+  // --steps: per-superstep wall-clock breakdown (compute / stage /
+  // transport / schedule) for the sizes whose totals the main table
+  // reports, then exit. This is the tool that located the non-monotonic
+  // semiring_3d spike at n=343 in the relay scheduler.
   if (cca::bench::has_flag(argc, argv, "--steps")) {
-    cca::bench::print_header("Per-step wall-clock breakdown");
+    cca::bench::print_header("Per-superstep wall-clock breakdown");
+    bool ok = true;
     for (const int n : {216, 343, 512}) {
-      MmStepProfile profile;
-      (void)run_semiring(n, &profile);
       char what[64];
       std::snprintf(what, sizeof what, "semiring_3d n=%d", n);
-      print_profile(what, profile);
+      ok = print_steps(what, n, SemiringInputs{n}) && ok;
     }
-    {
-      MmStepProfile profile;
-      (void)run_fast(343, 3, &profile);
-      print_profile("fast_bilinear n=343 depth=3 (clique 576)", profile);
-    }
+    const FastInputs fast(343, 3);
+    ok = print_steps("fast_bilinear n=343 depth=3 (clique 576)",
+                     fast.plan.clique_n, fast) &&
+         ok;
     if (json.enabled())
       std::printf("(--steps is a diagnostic mode; BENCH json not written)\n");
-    return 0;
+    return ok ? 0 : 1;
   }
 
   // --batch: the multi-query engine. B=8 same-shape products through

@@ -60,7 +60,7 @@ int main() {
 
   {  // The trivial baseline: everyone learns everything, O(n) rounds.
     clique::Network net(n);
-    const auto p = mm_naive_broadcast(net, ring, 1, a, b);
+    const auto p = mm_naive_broadcast(net, ring, codec, a, b);
     std::printf("naive         : %3lld rounds                       correct=%d\n",
                 static_cast<long long>(net.stats().rounds), p == reference);
   }

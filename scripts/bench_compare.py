@@ -21,6 +21,11 @@ Gates:
     wall is below --wall-floor-ms (default 10 ms) are exempt: they are
     timed as a single shot, where one scheduler hiccup swamps the signal.
 
+Before gating it prints the "host" record of each file (core count,
+parallel_for workers, compiler, build flavour), so a wall ratio can be read
+against the machines that produced it. Baselines written before the host
+record existed have none; they still compare.
+
 Exit status: 0 when every matched row passes, 1 otherwise.
 """
 
@@ -29,10 +34,17 @@ import json
 import sys
 
 
-def load_rows(path):
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    return {(r["label"], r["clique_n"]): r for r in doc.get("rows", [])}
+    rows = {(r["label"], r["clique_n"]): r for r in doc.get("rows", [])}
+    return rows, doc.get("host")
+
+
+def describe_host(host):
+    if not host:
+        return "(no host record)"
+    return ", ".join(f"{k}={v}" for k, v in host.items())
 
 
 def main():
@@ -46,8 +58,10 @@ def main():
                          "(single-shot sub-10ms timings are scheduler noise)")
     args = ap.parse_args()
 
-    base = load_rows(args.baseline)
-    fresh = load_rows(args.fresh)
+    base, base_host = load(args.baseline)
+    fresh, fresh_host = load(args.fresh)
+    print(f"baseline host: {describe_host(base_host)}")
+    print(f"fresh host:    {describe_host(fresh_host)}")
 
     matched = sorted(set(base) & set(fresh))
     only_base = sorted(set(base) - set(fresh))

@@ -32,15 +32,10 @@ std::unique_ptr<Transport> make_default_transport(int n) {
 
 }  // namespace
 
-Network::Network(int n, Router default_router, std::uint64_t seed)
-    : Network(make_default_transport(n), default_router, seed) {}
+Network::Network(int n) : Network(make_default_transport(n)) {}
 
-Network::Network(std::unique_ptr<Transport> transport, Router default_router,
-                 std::uint64_t seed)
-    : n_(transport ? transport->n() : 0),
-      default_router_(default_router),
-      rng_(seed),
-      transport_(std::move(transport)) {
+Network::Network(std::unique_ptr<Transport> transport)
+    : n_(transport ? transport->n() : 0), transport_(std::move(transport)) {
   CCA_VALIDATE(transport_ != nullptr, "transport must not be null");
   CCA_VALIDATE(n_ >= 1, "clique size must be >= 1");
   owned_ = transport_->owned();
@@ -123,31 +118,19 @@ std::int64_t Network::prepare_schedule(const std::vector<Demand>& demands) {
 
 std::int64_t Network::route_rounds(Router router,
                                    const std::vector<Demand>& demands) {
-  switch (router) {
-    case Router::Direct:
-      return rounds_direct(n_, demands);
-    case Router::HashRelay:
-      return rounds_hash_relay(n_, demands);
-    case Router::RandomRelay:
-      // Seed-dependent: each invocation draws fresh intermediates from the
-      // network RNG, so its schedule is never cacheable.
-      return rounds_random_relay(n_, demands, rng_);
-    case Router::KoenigRelay: {
-      // The Euler-split is deterministic in the demand list, so iterated
-      // workloads with byte-identical traffic shapes (APSP squarings,
-      // Seidel levels, girth probes, batched products) pay the
-      // O(words * log maxdeg) class sequence once per shape.
-      if (demands.empty()) return 0;
-      bool hit = false;
-      const auto rounds = cached_schedule(demands, &hit).rounds;
-      if (hit)
-        ++stats_.schedule_hits;
-      else
-        ++stats_.schedule_misses;
-      return rounds;
-    }
-  }
-  return 0;
+  if (router == Router::Direct) return rounds_direct(n_, demands);
+  // The Euler-split is deterministic in the demand list, so iterated
+  // workloads with byte-identical traffic shapes (APSP squarings, Seidel
+  // levels, girth probes, batched products) pay the O(words * log maxdeg)
+  // class sequence once per shape.
+  if (demands.empty()) return 0;
+  bool hit = false;
+  const auto rounds = cached_schedule(demands, &hit).rounds;
+  if (hit)
+    ++stats_.schedule_hits;
+  else
+    ++stats_.schedule_misses;
+  return rounds;
 }
 
 std::int64_t Network::volume_bound_rounds(
@@ -163,7 +146,7 @@ std::int64_t Network::volume_bound_rounds(
   return need;
 }
 
-void Network::deliver() { deliver(default_router_); }
+void Network::deliver() { deliver(Router::KoenigRelay); }
 
 void Network::deliver(Router router) {
   // Staging is safe from parallel regions (one src per iteration); the

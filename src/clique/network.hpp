@@ -16,12 +16,14 @@
 // Architecture: Network is the ACCOUNTING layer — demand scheduling, round
 // charging, TrafficStats, the schedule cache, and the fault/integrity
 // machinery. Relay supersteps have one scheduler, the Koenig Euler split;
-// its schedules are cached per demand shape. The data plane (staging
-// buffers, delivery arena, inboxes) lives behind the clique::Transport seam
-// (transport.hpp); the in-process
-// ArenaTransport is the default backend, and the multi-process
-// SocketTransport (socket_transport.hpp) slots in without touching any round
-// accounting.
+// its schedules are cached per demand shape. Direct delivery serves the
+// few protocols whose words each ride their own link. The oblivious hash
+// and random relays of routing.hpp are offline baselines over demand lists
+// and never run here. The data plane (staging buffers, delivery arena,
+// inboxes) lives behind the clique::Transport seam (transport.hpp); the
+// in-process ArenaTransport is the default backend, and the multi-process
+// SocketTransport (socket_transport.hpp) slots in without touching any
+// round accounting.
 //
 // Fault model (fault.hpp): installing a FaultPlan hardens every deliver() —
 // payloads are framed with SplitMix64 checksums (one trailer word per
@@ -44,7 +46,6 @@
 #include "clique/transport.hpp"
 #include "util/analysis.hpp"
 #include "util/contracts.hpp"
-#include "util/rng.hpp"
 
 namespace cca::clique {
 
@@ -52,17 +53,11 @@ namespace cca::clique {
 enum class Router {
   /// Every word travels on its (src,dst) link; rounds = max link load.
   Direct,
-  /// Two-phase relay with deterministic hashed spreading of each (src,dst)
-  /// block over intermediates; O(1) rounds for Lenzen-balanced instances.
-  HashRelay,
-  /// Two-phase relay with a random starting intermediate per block
-  /// (Valiant-style); randomized counterpart of HashRelay.
-  RandomRelay,
   /// Two-phase relay scheduled by Euler-split edge colouring of the demand
   /// multigraph (a constructive Koenig/Birkhoff decomposition). Deterministic
   /// and near-optimal for arbitrary instances; this is the executable
   /// counterpart of the routing guarantees of Lenzen [46] and
-  /// Dolev et al. [24, Lemma 1].
+  /// Dolev et al. [24, Lemma 1]. deliver() uses it.
   KoenigRelay,
 };
 
@@ -154,17 +149,13 @@ class Network {
   /// backend — unless a clique::TransportScope is live on this thread, in
   /// which case its factory builds the data plane (the hook multi-process
   /// runs use to shard internally-constructed Networks; see
-  /// socket_transport.hpp). `seed` feeds the RandomRelay router. If a
-  /// clique::FaultScope is live on this thread, its plan is installed
-  /// automatically.
-  explicit Network(int n, Router default_router = Router::KoenigRelay,
-                   std::uint64_t seed = 0x5eed);
+  /// socket_transport.hpp). If a clique::FaultScope is live on this
+  /// thread, its plan is installed automatically.
+  explicit Network(int n);
 
   /// Create a clique over a caller-supplied data plane (the Transport
   /// seam). The clique size is transport->n().
-  explicit Network(std::unique_ptr<Transport> transport,
-                   Router default_router = Router::KoenigRelay,
-                   std::uint64_t seed = 0x5eed);
+  explicit Network(std::unique_ptr<Transport> transport);
 
   [[nodiscard]] int n() const noexcept { return n_; }
 
@@ -235,12 +226,13 @@ class Network {
   [[nodiscard]] std::int64_t prepare_schedule(
       const std::vector<Demand>& demands);
 
-  /// Deliver every staged word using the default router; charges rounds.
-  /// With a FaultPlan installed this is the hardened superstep (see the
-  /// header comment); it may throw clique::PeerFailure.
+  /// Deliver every staged word on the KoenigRelay schedule; charges
+  /// rounds. With a FaultPlan installed this is the hardened superstep (see
+  /// the header comment); it may throw clique::PeerFailure.
   void deliver();
 
-  /// Deliver using an explicit router.
+  /// Deliver using an explicit router (Direct: for protocols whose words
+  /// each travel on their own link, such as a one-word broadcast).
   void deliver(Router router);
 
   /// Words received by dst from src in the most recent superstep, FIFO.
@@ -357,17 +349,14 @@ class Network {
 
   int n_;
   NodeSpan owned_;  // transport_->owned(), cached at construction
-  Router default_router_;
-  Rng rng_;
 
   // The data plane (staging buffers, delivery arena, inboxes).
   std::unique_ptr<Transport> transport_;
 
   TrafficStats stats_;
 
-  // Koenig schedules cached by demand fingerprint (see routing.hpp). Only
-  // the deterministic KoenigRelay discipline consults it; RandomRelay is
-  // seed-dependent and bypasses it by construction.
+  // Koenig schedules cached by demand fingerprint (see routing.hpp). Direct
+  // supersteps need no schedule and never consult it.
   ScheduleCache schedule_cache_;
 
   // The ranks a sharded transport's schedule misses share their split
@@ -392,13 +381,12 @@ class Network {
 };
 
 /// Typed guard for the few engines whose CENSUS genuinely reads non-owned
-/// rows (the bilinear fast path's global demand shape, the naive
-/// broadcast's all-to-all gather) and which therefore cannot run under a
-/// sharded transport. Everything else in the engine layer is
-/// ownership-generic — keep this helper only at those surviving sites
-/// (each tagged lint:allow for the contract linter), never as a blanket
-/// entry guard. `alternative` names the sharded route the caller should
-/// take instead.
+/// rows (such as the bilinear fast path's coefficient combination) and
+/// which therefore cannot run under a sharded transport. Everything else
+/// in the engine layer is ownership-generic — keep this helper only at
+/// those surviving sites (each tagged lint:allow for the contract linter),
+/// never as a blanket entry guard. `alternative` names the sharded route
+/// the caller should take instead.
 inline void require_full_ownership(const Network& net, const char* engine,
                                    const char* alternative) {
   if (net.owns_all()) return;

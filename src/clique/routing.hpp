@@ -21,10 +21,13 @@
 //                of Lenzen's routing theorem [46] and of the oblivious routing
 //                of Dolev et al. [24, Lemma 1].
 //
-// Koenig is the one scheduler Network runs for relay supersteps; hash and
-// random remain as oblivious baselines. These functions are exposed
-// separately from Network so that tests can probe the schedules directly
-// and the routing benchmarks can compare disciplines.
+// Koenig is the one relay scheduler Network runs (Network::deliver; direct
+// serves the explicit Router::Direct supersteps). Hash and random are
+// oblivious baselines that no Network runs: bench_ablation evaluates them
+// offline on the demand lists a recorded run delivered, and bench_routing
+// and the tests call them directly. Every discipline is a pure function of
+// the demand list (random also of its Rng), so such an offline fold
+// charges exactly what an in-line router would.
 #pragma once
 
 #include <cstddef>
@@ -80,8 +83,7 @@ struct Demand {
 // fingerprint of the canonical demand list (deliver() emits demands in
 // (src, dst) ascending order, so equal lists hash equally) and verifies the
 // full list on every hit, so a fingerprint collision degrades to a
-// recompute, never to a wrong round count. The random-relay discipline is
-// seed-dependent and must bypass the cache (Network::deliver does).
+// recompute, never to a wrong round count.
 
 /// The reusable outcome of one relay-schedule computation.
 struct Schedule {

@@ -91,7 +91,8 @@ std::vector<Matrix<std::int64_t>> IntMmEngine::multiply_batch(
         std::vector<Matrix<std::int64_t>> out;
         out.reserve(as.size());
         for (std::size_t b = 0; b < as.size(); ++b)
-          out.push_back(mm_naive_broadcast(net, ring, 1, as[b], bs[b]));
+          out.push_back(
+              mm_naive_broadcast(net, ring, codec, as[b], bs[b]));
         return out;
       }
       case MmKind::Auto:

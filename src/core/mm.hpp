@@ -96,9 +96,8 @@ namespace cca::core {
 ///   * Fast — the Section 2.2 engine for `fast_alg` (rings only; it must be
 ///     admissible for n); B = 1 only;
 ///   * Naive — the broadcast baseline; B = 1 only.
-/// Ties prefer Sparse > Semiring3D > Fast > Naive. Any n >= 1 works.
-/// Assumes the net's default router is KoenigRelay (the planner schedules
-/// with it).
+/// Ties prefer Sparse > Semiring3D > Fast > Naive. Any n >= 1 works. The
+/// planner schedules with KoenigRelay, the router deliver() charges.
 ///
 /// `ctx` (optional) makes the dispatch PER-ITERATION: once a dense engine
 /// has won, the context's hysteresis skips announcement and planning (see
@@ -140,8 +139,7 @@ template <Semiring S, typename Codec>
         }
       }
       CCA_EXPECTS(pick == AutoEngineChoice::Naive);
-      out.push_back(mm_naive_broadcast(
-          net, sr, static_cast<int>(codec.words_for(1)), as[b], bs[b]));
+      out.push_back(mm_naive_broadcast(net, sr, codec, as[b], bs[b]));
     }
     return out;
   };

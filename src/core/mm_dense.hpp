@@ -34,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -54,40 +53,7 @@
 
 namespace cca::core {
 
-/// Optional per-step wall-clock breakdown of one mm_* invocation (pass a
-/// profile pointer to fill it). Steps alternate staging / delivery / local
-/// compute, so the breakdown separates encode cost, router cost, and kernel
-/// cost — bench_mm --steps prints it.
-struct MmStepProfile {
-  struct Step {
-    const char* name;
-    std::int64_t ns;
-  };
-  std::vector<Step> steps;
-};
-
 namespace detail {
-
-/// Lap timer feeding MmStepProfile; all calls are no-ops when profile is
-/// null, so the instrumented algorithms pay nothing in normal runs.
-class StepClock {
- public:
-  explicit StepClock(MmStepProfile* profile) : profile_(profile) {
-    if (profile_ != nullptr) last_ = std::chrono::steady_clock::now();
-  }
-  void lap(const char* name) {
-    if (profile_ == nullptr) return;
-    const auto t = std::chrono::steady_clock::now();
-    profile_->steps.push_back(
-        {name, std::chrono::duration_cast<std::chrono::nanoseconds>(t - last_)
-                   .count()});
-    last_ = t;
-  }
-
- private:
-  MmStepProfile* profile_;
-  std::chrono::steady_clock::time_point last_;
-};
 
 /// Odd-word-count scheduler cliff (ROADMAP `bench_mm --steps` finding): a
 /// superstep whose per-pair word count is odd defeats the Euler split's
@@ -190,8 +156,7 @@ template <Semiring S, typename Codec>
 [[nodiscard]] std::vector<Matrix<typename S::Value>> mm_semiring_3d_batch(
     clique::Network& net, const S& sr, const Codec& codec,
     std::span<const Matrix<typename S::Value>> as,
-    std::span<const Matrix<typename S::Value>> bs,
-    MmStepProfile* profile = nullptr) {
+    std::span<const Matrix<typename S::Value>> bs) {
   using V = typename S::Value;
   const int n = net.n();
   const std::size_t batch = as.size();
@@ -217,7 +182,6 @@ template <Semiring S, typename Codec>
   // This rank's node shard: every stage/compute loop below walks only the
   // owned span. In-process this is [0, n) and the loops are unchanged.
   const clique::NodeSpan own = net.owned();
-  detail::StepClock clock(profile);
 
   // Step 1: node v scatters pieces of its rows S_b[v,*] and T_b[v,*] for
   // every product b, encoding the contiguous row slices straight into one
@@ -244,9 +208,7 @@ template <Semiring S, typename Codec>
                             msg.data() + b * block_words);
       }
   });
-  clock.lap("step1 stage");
   net.deliver();
-  clock.lap("step1 deliver");
 
   // Each node v now assembles S_b[v1**, v2**] and T_b[v2**, v3**] and
   // multiplies them locally (Step 2), for every b. Per-node work is
@@ -277,7 +239,6 @@ template <Semiring S, typename Codec>
           local_multiply(sr, sb, tb);
     }
   });
-  clock.lap("step2 local product");
 
   // Step 3: node v sends P_b^(v2)[u, v3**] to each u in v1** — one
   // contiguous product row per message block, encoded in place.
@@ -292,9 +253,7 @@ template <Semiring S, typename Codec>
       }
     }
   });
-  clock.lap("step3 stage");
   net.deliver();
-  clock.lap("step3 deliver");
 
   // Step 4: node v sums the received pieces into row v of each product
   // (distinct output rows, so the nodes run concurrently).
@@ -318,7 +277,6 @@ template <Semiring S, typename Codec>
       }
     }
   });
-  clock.lap("step4 combine");
   return out;
 }
 
@@ -332,12 +290,11 @@ template <Semiring S, typename Codec>
 template <Semiring S, typename Codec>
 [[nodiscard]] Matrix<typename S::Value> mm_semiring_3d(
     clique::Network& net, const S& sr, const Codec& codec,
-    const Matrix<typename S::Value>& s, const Matrix<typename S::Value>& t,
-    MmStepProfile* profile = nullptr) {
+    const Matrix<typename S::Value>& s, const Matrix<typename S::Value>& t) {
   using V = typename S::Value;
   auto res = mm_semiring_3d_batch(
       net, sr, codec, std::span<const Matrix<V>>(&s, 1),
-      std::span<const Matrix<V>>(&t, 1), profile);
+      std::span<const Matrix<V>>(&t, 1));
   return std::move(res.front());
 }
 
@@ -377,8 +334,7 @@ template <Ring R, typename Codec>
     clique::Network& net, const R& ring, const Codec& codec,
     const BilinearAlgorithm& alg,
     std::span<const Matrix<typename R::Value>> as,
-    std::span<const Matrix<typename R::Value>> bs_in,
-    MmStepProfile* profile = nullptr) {
+    std::span<const Matrix<typename R::Value>> bs_in) {
   using V = typename R::Value;
   const int n = net.n();
   // Genuinely full-ownership: the bilinear scheme's coefficient
@@ -402,7 +358,6 @@ template <Ring R, typename Codec>
   const auto blk_entries = static_cast<std::size_t>(bs) *
                            static_cast<std::size_t>(bs);
   const auto blk_words = codec.words_for(blk_entries);
-  detail::StepClock clock(profile);
 
   // Node digits (v1, v2, v3) in radices (d, sq, sq/d) and labels (x1, x2).
   auto label_of = [sq](int x1, int x2) { return x1 * sq + x2; };
@@ -442,9 +397,7 @@ template <Ring R, typename Codec>
       }
     }
   });
-  clock.lap("step1 stage");
   net.deliver();
-  clock.lap("step1 deliver");
 
   // Node u = (x1,x2) assembles the sq x sq local views S_b[*x1*, *x2*] and
   // T_b[*x1*, *x2*]: local row index of sender v is v1*bs + v3; each piece
@@ -470,7 +423,6 @@ template <Ring R, typename Codec>
       tloc[static_cast<std::size_t>(u) * batch + b] = std::move(tl);
     }
   });
-  clock.lap("step1 assemble");
 
   // Step 2 (local): linear combinations S_b^(w)[x1*, x2*], T_b^(w)[x1*,
   // x2*], built in flat per-sender scratch blocks with one
@@ -505,9 +457,7 @@ template <Ring R, typename Codec>
       }
     }
   });
-  clock.lap("step2-3 combine+stage");
   net.deliver();
-  clock.lap("step3 deliver");
 
   // Step 4 (local at product nodes): assemble S_b^(w), T_b^(w), multiply.
   std::vector<Matrix<V>> phat(static_cast<std::size_t>(m) * batch);
@@ -540,7 +490,6 @@ template <Ring R, typename Codec>
           local_multiply(ring, sw, tw);
     }
   });
-  clock.lap("step4 product");
 
   // Step 5: node w returns P_b^(w)[x1*, x2*] to label (x1, x2), the B
   // blocks concatenated (product b at word b * blk_words).
@@ -562,9 +511,7 @@ template <Ring R, typename Codec>
         }
       }
   });
-  clock.lap("step5 stage");
   net.deliver();
-  clock.lap("step5 deliver");
 
   // Step 6 (local): P_b[ix1*, jx2*] = sum_w lambda_ijw P_b^(w)[x1*, x2*],
   // assembled into the sq x sq local view P_b[*x1*, *x2*]. Pieces decode
@@ -593,7 +540,6 @@ template <Ring R, typename Codec>
       ploc[static_cast<std::size_t>(u) * batch + b] = std::move(pl);
     }
   });
-  clock.lap("step6 recombine");
 
   // Step 7: node (x1, x2) sends P_b[r, *x2*] to r for each r in *x1* — the
   // B contiguous local-view rows concatenated, encoded in place.
@@ -612,9 +558,7 @@ template <Ring R, typename Codec>
         }
       }
   });
-  clock.lap("step7 stage");
   net.deliver();
-  clock.lap("step7 deliver");
 
   std::vector<Matrix<V>> out;
   out.reserve(batch);
@@ -637,7 +581,6 @@ template <Ring R, typename Codec>
       }
     }
   });
-  clock.lap("step8 output");
   return out;
 }
 
@@ -653,35 +596,53 @@ template <Ring R, typename Codec>
 [[nodiscard]] Matrix<typename R::Value> mm_fast_bilinear(
     clique::Network& net, const R& ring, const Codec& codec,
     const BilinearAlgorithm& alg, const Matrix<typename R::Value>& s,
-    const Matrix<typename R::Value>& t, MmStepProfile* profile = nullptr) {
+    const Matrix<typename R::Value>& t) {
   using V = typename R::Value;
   auto res = mm_fast_bilinear_batch(
       net, ring, codec, alg, std::span<const Matrix<V>>(&s, 1),
-      std::span<const Matrix<V>>(&t, 1), profile);
+      std::span<const Matrix<V>>(&t, 1));
   return std::move(res.front());
 }
 
 /// The trivial baseline: every node broadcasts its rows of both inputs so
 /// everyone knows the full matrices, then computes its own output row
-/// locally. Exactly 2n words per ordered link, hence 2n rounds (direct
-/// schedule); the payload is charged but not materialised.
-template <Semiring S>
+/// locally. Exactly 2n entries per ordered link, hence 2n * words_for(1)
+/// rounds (direct schedule), charged without staging. In-process the
+/// payload is not materialised. Under a sharded transport each rank
+/// encodes its owned rows of t and all-gathers them (the charged broadcast
+/// made real), then computes its owned output rows; non-owned rows stay
+/// sr.zero(). Row v of s is all that node v's output row reads of s.
+template <Semiring S, typename Codec>
 [[nodiscard]] Matrix<typename S::Value> mm_naive_broadcast(
-    clique::Network& net, const S& sr, int words_per_entry,
+    clique::Network& net, const S& sr, const Codec& codec,
     const Matrix<typename S::Value>& s, const Matrix<typename S::Value>& t) {
+  using V = typename S::Value;
   const int n = net.n();
   CCA_EXPECTS(s.rows() == n && s.cols() == n);
   CCA_EXPECTS(t.rows() == n && t.cols() == n);
-  CCA_EXPECTS(words_per_entry >= 1);
-  // Genuinely full-ownership: the broadcast is charged but never
-  // materialised, so a sharded rank cannot learn the non-owned rows.
-  clique::require_full_ownership(
-      net, "mm_naive_broadcast",
-      "its broadcast is charged but never materialised; use a sharded "
-      "engine");
   if (n > 1)
-    net.charge_rounds(2 * static_cast<std::int64_t>(n) * words_per_entry);
-  return multiply(sr, s, t);
+    net.charge_rounds(2 * static_cast<std::int64_t>(n) *
+                      static_cast<std::int64_t>(codec.words_for(1)));
+  if (net.owns_all()) return multiply(sr, s, t);
+  const clique::NodeSpan own = net.owned();
+  const auto row_entries = static_cast<std::size_t>(n);
+  const auto row_words = codec.words_for(row_entries);
+  std::vector<clique::Word> words(row_entries * row_words);
+  std::vector<std::size_t> offsets(row_entries + 1);
+  for (std::size_t v = 0; v < offsets.size(); ++v) offsets[v] = v * row_words;
+  for (int v = own.begin; v < own.end; ++v)
+    codec.encode_into(std::span<const V>(t.row(v), row_entries),
+                      words.data() + offsets[static_cast<std::size_t>(v)]);
+  net.allgather_node_blocks(words, offsets);
+  Matrix<V> full_t(n, n, sr.zero());
+  for (int v = 0; v < n; ++v)
+    detail::decode_entries_at(codec, std::span<const clique::Word>(words),
+                              offsets[static_cast<std::size_t>(v)],
+                              row_entries, full_t.row(v));
+  Matrix<V> out(n, n, sr.zero());
+  out.paste(own.begin, 0,
+            multiply(sr, s.block(own.begin, 0, own.size(), n), full_t));
+  return out;
 }
 
 /// The exact step-1 / step-3 demand lists mm_semiring_3d (batch B) stages
@@ -723,18 +684,16 @@ fast_bilinear_superstep_demands(int n, const BilinearAlgorithm& alg,
   EXTERN template std::vector<Matrix<S::Value>>                             \
   mm_semiring_3d_batch<S, C>(                                               \
       clique::Network&, const S&, const C&,                                 \
-      std::span<const Matrix<S::Value>>, std::span<const Matrix<S::Value>>, \
-      MmStepProfile*);                                                      \
-  EXTERN template Matrix<S::Value> mm_naive_broadcast<S>(                   \
-      clique::Network&, const S&, int, const Matrix<S::Value>&,             \
+      std::span<const Matrix<S::Value>>, std::span<const Matrix<S::Value>>); \
+  EXTERN template Matrix<S::Value> mm_naive_broadcast<S, C>(                \
+      clique::Network&, const S&, const C&, const Matrix<S::Value>&,        \
       const Matrix<S::Value>&);
 // The bilinear engine takes rings only: the integer and polynomial pairs.
 #define CCA_MM_FAST_INSTANCE(EXTERN, R, C)                                  \
   EXTERN template std::vector<Matrix<R::Value>>                             \
   mm_fast_bilinear_batch<R, C>(                                             \
       clique::Network&, const R&, const C&, const BilinearAlgorithm&,       \
-      std::span<const Matrix<R::Value>>, std::span<const Matrix<R::Value>>, \
-      MmStepProfile*);
+      std::span<const Matrix<R::Value>>, std::span<const Matrix<R::Value>>);
 #define CCA_MM_DENSE_INSTANCES(EXTERN)                       \
   CCA_MM_PRODUCTION_PAIRS(CCA_MM_DENSE_INSTANCE, EXTERN)     \
   CCA_MM_FAST_INSTANCE(EXTERN, IntRing, I64Codec)            \

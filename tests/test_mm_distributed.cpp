@@ -9,6 +9,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -282,7 +283,8 @@ TEST(NaiveMm, CorrectAndChargesTwoNRounds) {
   const IntRing ring;
   const auto a = random_int_matrix(n, 9);
   const auto b = random_int_matrix(n, 10);
-  EXPECT_EQ(mm_naive_broadcast(net, ring, 1, a, b), multiply(ring, a, b));
+  EXPECT_EQ(mm_naive_broadcast(net, ring, I64Codec{}, a, b),
+            multiply(ring, a, b));
   EXPECT_EQ(net.stats().rounds, 2 * n);
 }
 
@@ -463,6 +465,68 @@ TEST(SocketP2Engines, ApspBatchMatchesArenaOracleBitIdentically) {
     EXPECT_EQ(got.engine_trace, oracle.engine_trace) << "rank " << r;
     expect_stats_eq(got.traffic, oracle.traffic, r);
   });
+}
+
+TEST(SocketP2Engines, NaiveBroadcastMatchesArenaOracle) {
+  // Each rank poisons the non-owned rows of t, as a sharded product leaves
+  // them: the all-gather of the owned rows must supply the rest.
+  const int n = 27;
+  const IntRing ring;
+  const I64Codec codec;
+  const auto s = random_int_matrix(n, 41);
+  const auto t = random_int_matrix(n, 42);
+  clique::Network oracle_net(n);
+  const auto oracle = mm_naive_broadcast(oracle_net, ring, codec, s, t);
+  ASSERT_EQ(oracle, multiply(ring, s, t));
+
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    clique::Network net(n);
+    auto local_t = t;
+    for (int v = 0; v < n; ++v)
+      if (!net.owns(v))
+        for (int j = 0; j < n; ++j) local_t(v, j) = 777;
+    const auto got = mm_naive_broadcast(net, ring, codec, s, local_t);
+    expect_owned_rows_eq(got, oracle, net.owned(), r);
+    expect_stats_eq(net.stats(), oracle_net.stats(), r);
+  });
+}
+
+// apsp_bounded / apsp_approx at n = 27 under P = 2. The arena oracle's
+// Auto runs the bilinear engine for the embedded products; a sharded
+// dispatch drops that full-ownership candidate and runs the naive
+// broadcast, so the ranks charge other rounds than the oracle (Auto's
+// candidate set still depends on P). The distances must equal the
+// oracle's, and the two ranks must agree on every charge.
+template <typename Solve>
+void expect_sharded_apsp_agrees(const Graph& g, Solve&& solve) {
+  const auto oracle = solve();
+  std::vector<ApspOutcome> got(2);
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    got[static_cast<std::size_t>(r)] = solve();
+  });
+  const int clique_n = plan_fast_mm_auto(g.n()).clique_n;
+  for (int r = 0; r < 2; ++r)
+    expect_owned_rows_eq(got[static_cast<std::size_t>(r)].dist, oracle.dist,
+                         clique::shard_span(clique_n, 2, r), r);
+  const auto& trace = got[0].engine_trace;
+  EXPECT_NE(std::find(trace.begin(), trace.end(), AutoEngineChoice::Naive),
+            trace.end());
+  EXPECT_EQ(got[1].engine_trace, trace);
+  expect_stats_eq(got[1].traffic, got[0].traffic, 1);
+}
+
+TEST(SocketP2Engines, BoundedApspRunsShardedWithOracleDistances) {
+  const Graph g = random_weighted_graph(27, 0.3, 1, 4, 3);
+  expect_sharded_apsp_agrees(g, [&] { return apsp_bounded(g, 8); });
+}
+
+TEST(SocketP2Engines, ApproxApspRunsShardedWithOracleDistances) {
+  const Graph g = random_weighted_graph(27, 0.3, 1, 4, 3);
+  expect_sharded_apsp_agrees(g, [&] { return apsp_approx(g, 0.5); });
 }
 
 TEST(SocketP2Engines, TriangleBatchMatchesArenaOracleBitIdentically) {

@@ -38,14 +38,20 @@ TEST(Network, SelfSendsAreFree) {
 }
 
 TEST(Network, SingleWordCostsOneRoundEverywhere) {
-  for (const auto r : {Router::Direct, Router::HashRelay, Router::RandomRelay,
-                       Router::KoenigRelay}) {
-    Network net(8, r);
-    net.send(0, 5, 1);
-    net.deliver();
+  Network net(8);
+  net.send(0, 5, 1);
+  net.deliver();
+  // The demand list that superstep delivered, under every discipline.
+  const std::vector<Demand> demands{{0, 5, 1}};
+  EXPECT_EQ(net.stats().rounds, rounds_koenig_relay(8, demands));
+  Rng rng(0x5eed);
+  for (const auto rounds :
+       {rounds_direct(8, demands), rounds_hash_relay(8, demands),
+        rounds_random_relay(8, demands, rng),
+        rounds_koenig_relay(8, demands)}) {
     // Relays pay at most 2 (scatter + forward); direct pays exactly 1.
-    EXPECT_GE(net.stats().rounds, 1);
-    EXPECT_LE(net.stats().rounds, 2);
+    EXPECT_GE(rounds, 1);
+    EXPECT_LE(rounds, 2);
   }
 }
 
@@ -456,22 +462,10 @@ TEST(Network, ScheduleCacheCountersTrackRepeatedShapes) {
   EXPECT_EQ(net.stats().schedule_misses, 2);
 }
 
-TEST(Network, RandomRelayBypassesScheduleCache) {
-  Network net(8, Router::RandomRelay);
-  for (int i = 0; i < 3; ++i) {
-    net.send(0, 5, 1);
-    net.send(3, 2, 4);
-    net.deliver();
-  }
-  EXPECT_EQ(net.stats().schedule_hits, 0);
-  EXPECT_EQ(net.stats().schedule_misses, 0);
-  EXPECT_EQ(net.schedule_cache().entries(), 0u);
-}
-
 TEST(Network, DirectRouterBypassesScheduleCache) {
-  Network net(8, Router::Direct);
+  Network net(8);
   net.send(0, 5, 1);
-  net.deliver();
+  net.deliver(Router::Direct);
   EXPECT_EQ(net.stats().schedule_hits + net.stats().schedule_misses, 0);
 }
 

@@ -46,6 +46,15 @@ the offending line or the line above):
 
 Multi-process rules (the sharded data plane, clique/socket_transport.hpp):
 
+  discarded-broadcast   a `(void)` cast of a broadcast_all/broadcast_reduce
+                        result in src/. The returned words are the only
+                        cross-node fact every rank shares; a caller that
+                        drops them and decides on its own scan reads
+                        non-owned rows under sharding, so the ranks diverge
+                        (the directed-girth deadlock). Fold the returned
+                        words, or certify a charge-only site with an allow
+                        tag.
+
   full-range-staging    a parallel_for in src/ that iterates the FULL node
                         range (literal 0 lower bound) and stages from its
                         induction variable. Under a sharded transport only
@@ -103,6 +112,8 @@ ISA_CLONES_HOME = Path("src/matrix/kernels.cpp")
 ISA_CLONES_DEFINE_RE = re.compile(r"^[ \t]*#[ \t]*define[ \t]+CCA_ISA_CLONES\b",
                                   re.MULTILINE)
 GRAPH_ARG_RE = re.compile(r"\bg\.")
+DISCARDED_BROADCAST_RE = re.compile(
+    r"\(\s*void\s*\)\s*(?:(?:cca::)?clique::)?broadcast_(?:all|reduce)\s*\(")
 
 
 class Finding:
@@ -495,6 +506,21 @@ def lint_isa_clones(path: Path, code: str,
     return findings
 
 
+def lint_discarded_broadcast(path: Path, code: str,
+                             lines: list[str]) -> list[Finding]:
+    if path.relative_to(REPO).parts[0] != "src":
+        return []
+    findings = []
+    for m in DISCARDED_BROADCAST_RE.finditer(code):
+        ln = line_of(code, m.start())
+        if not allowed(lines, ln, "discarded-broadcast"):
+            findings.append(Finding(
+                path, ln, "discarded-broadcast",
+                "broadcast result discarded; fold the returned words "
+                "(broadcast_reduce) so every rank decides on the same fact"))
+    return findings
+
+
 def lint_file(path: Path) -> list[Finding]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -508,6 +534,7 @@ def lint_file(path: Path) -> list[Finding]:
     findings += lint_header_layering(path, lines)
     findings += lint_input_validate(path, code, lines)
     findings += lint_isa_clones(path, code, lines)
+    findings += lint_discarded_broadcast(path, code, lines)
     return findings
 
 

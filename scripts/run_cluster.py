@@ -80,6 +80,7 @@ def main():
             "apsp_auto",
             "apsp_batch",
             "seidel",
+            "girth",
             "witness",
             "triangles",
             "fault_mix",

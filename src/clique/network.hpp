@@ -249,17 +249,10 @@ class Network {
 
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
 
-  /// Reset statistics (topology and staged state must be empty). The
-  /// schedule cache is deliberately kept: it holds traffic shapes, not
-  /// accounting state.
-  void reset_stats() noexcept { stats_ = TrafficStats{}; }
-
   /// The Koenig schedule cache (exposed for tests and diagnostics).
   [[nodiscard]] const ScheduleCache& schedule_cache() const noexcept {
     return schedule_cache_;
   }
-  /// Drop every cached schedule (subsequent supersteps recompute).
-  void clear_schedule_cache() { schedule_cache_.clear(); }
 
   // --- Fault injection & recovery (see fault.hpp) -----------------------
 

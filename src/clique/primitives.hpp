@@ -5,9 +5,19 @@
 // the explicit schedules documented at each function (all are standard
 // two-phase broadcast/dissemination patterns; Dolev et al. [24] use the same
 // building blocks).
+//
+// Cross-node facts. A node holds only its own row, so any fact about other
+// rows (a girth hit, a convergence bit, a degree sum, a trace) reaches it
+// only through a charged message. broadcast_reduce is that message for a
+// one-word-per-node fact: each rank contributes its OWNED nodes' words and
+// every rank folds the same n returned words, so control flow that branches
+// on the result agrees on every rank of a sharded run. Branching on a
+// rank-local scan instead lets the ranks diverge and deadlock.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "clique/network.hpp"
@@ -21,6 +31,24 @@ namespace cca::clique {
 /// fully populated on every rank (Network::sync_node_words).
 [[nodiscard]] std::vector<Word> broadcast_all(Network& net,
                                               std::vector<Word> values);
+
+/// Every node v announces word_of(v); every node then folds the n words
+/// with `op` (left to right from node 0's word) and returns the fold, which
+/// is identical on every rank. word_of is called once per OWNED node of
+/// the clique (padding nodes past a graph's size included), so it may read
+/// only owned rows. Costs exactly
+/// what broadcast_all costs: 1 round (0 when n == 1), no staged words.
+template <class WordOf, class Op>
+[[nodiscard]] Word broadcast_reduce(Network& net, WordOf&& word_of, Op op) {
+  const NodeSpan own = net.owned();
+  std::vector<Word> words(static_cast<std::size_t>(net.n()), 0);
+  for (NodeId v = own.begin; v < own.end; ++v)
+    words[static_cast<std::size_t>(v)] = static_cast<Word>(word_of(v));
+  words = broadcast_all(net, std::move(words));
+  Word acc = words.front();
+  for (std::size_t v = 1; v < words.size(); ++v) acc = op(acc, words[v]);
+  return acc;
+}
 
 /// Node src makes `words` known to every node.
 /// Schedule: src scatters the words round-robin over the other n-1 nodes

@@ -1,6 +1,7 @@
 #include "core/apsp.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "clique/fault.hpp"
 #include "clique/primitives.hpp"
@@ -25,75 +26,6 @@ int squaring_iterations(int n) {
     ++iters;
   }
   return iters;
-}
-
-/// One broadcast round teaches every node the global maximum finite entry
-/// (each node contributes its row maximum).
-///
-/// Unsigned round-trip audit: the maxima travel as raw Words, so a
-/// NEGATIVE entry would be corrupted twice over — max-folded against the
-/// 0 initialiser (silently clamped) and, had it won, reinterpreted as a
-/// huge unsigned value by the receivers' fold. That cannot happen here:
-/// the only caller is apsp_approx, whose entry contract
-/// (CCA_EXPECTS(w >= 0) on every arc) keeps every finite entry of every
-/// iterate non-negative. The assert pins that PER ENTRY, where a negative
-/// value would actually appear — asserting on row_max would be vacuous,
-/// since the fold starts at 0. Negative-weight APSP goes through
-/// apsp_semiring, whose witness codec bit-casts entries instead
-/// (regression in test_apsp.cpp).
-std::int64_t broadcast_max_finite(clique::Network& net,
-                                  const Matrix<std::int64_t>& d, int n) {
-  // Each rank contributes only its OWNED rows' maxima (the only
-  // authoritative ones under sharding; non-owned slots stay 0, inert in
-  // the fold) — the broadcast then makes the global maximum common
-  // knowledge on every rank.
-  const clique::NodeSpan own = net.owned();
-  std::vector<clique::Word> words(static_cast<std::size_t>(net.n()), 0);
-  for (int u = own.begin; u < std::min(own.end, n); ++u) {
-    std::int64_t row_max = 0;
-    for (int v = 0; v < d.cols(); ++v)
-      if (d(u, v) < kInf) {
-        CCA_ASSERT(d(u, v) >= 0);  // would alias as an unsigned maximum
-        row_max = std::max(row_max, d(u, v));
-      }
-    words[static_cast<std::size_t>(u)] = static_cast<clique::Word>(row_max);
-  }
-  const auto all = clique::broadcast_all(net, std::move(words));
-  std::int64_t best = 0;
-  for (const auto w : all)
-    best = std::max(best, static_cast<std::int64_t>(w));
-  return best;
-}
-
-/// Re-replicates a row-distributed big x big iterate: each rank packs its
-/// OWNED rows and the allgather rebuilds the non-owned ones, after which
-/// every rank holds the identical matrix (no-op in-process). Seidel's
-/// recursion reads full iterates at every level — stability scans, the
-/// degree column sums, and the Lemma 17 parity test — so its products'
-/// outputs are repaired to common knowledge right after each multiply
-/// instead of rewriting every scan to owned ranges.
-void replicate_rows(clique::Network& net, Matrix<std::int64_t>& m) {
-  if (net.owns_all()) return;
-  const int big = net.n();
-  CCA_EXPECTS(m.rows() == big && m.cols() == big);
-  const clique::NodeSpan own = net.owned();
-  const auto cols = static_cast<std::size_t>(big);
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(big) + 1, 0);
-  for (int v = 0; v < big; ++v)
-    offsets[static_cast<std::size_t>(v) + 1] =
-        offsets[static_cast<std::size_t>(v)] + cols;
-  std::vector<clique::Word> data(offsets[static_cast<std::size_t>(big)], 0);
-  for (int v = own.begin; v < own.end; ++v)
-    for (std::size_t j = 0; j < cols; ++j)
-      data[offsets[static_cast<std::size_t>(v)] + j] =
-          static_cast<clique::Word>(m(v, static_cast<int>(j)));
-  net.allgather_node_blocks(data, offsets);
-  for (int v = 0; v < big; ++v) {
-    if (own.contains(v)) continue;
-    for (std::size_t j = 0; j < cols; ++j)
-      m(v, static_cast<int>(j)) = static_cast<std::int64_t>(
-          data[offsets[static_cast<std::size_t>(v)] + j]);
-  }
 }
 
 ApspOutcome make_trivial(const Graph& g) {
@@ -186,17 +118,19 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
                        net, std::span<const Matrix<std::int64_t>>(d),
                        std::span<const Matrix<std::int64_t>>(d));
     });
-    // Improvement flags feed the convergence vote; entries outside each
-    // real n x n corner are inert (padded rows are all-infinite), so
-    // scanning the real rows is exact.
-    std::vector<clique::Word> improved_row(static_cast<std::size_t>(big), 0);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const int n = gs[b].n();
-      const auto& [d2, q] = sq[b];
-      for (int u = own.begin; u < std::min(own.end, n); ++u)
+    // Node u adopts the improvements of its rows of every member's iterate
+    // and reports whether any entry improved. Entries outside each real
+    // n x n corner are inert (padded rows are all-infinite), so scanning
+    // the real rows is exact.
+    auto adopt_row = [&](int u) {
+      bool improved = false;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const int n = gs[b].n();
+        if (u >= n) continue;
+        const auto& [d2, q] = sq[b];
         for (int v = 0; v < n; ++v) {
           if (d2(u, v) >= d[b](u, v)) continue;
-          improved_row[static_cast<std::size_t>(u)] = 1;
+          improved = true;
           const int w = q(u, v);
           CCA_ASSERT(w >= 0 && w < n && w != u);
           // The witness w splits the improved path; its first hop is
@@ -204,22 +138,24 @@ ApspBatchOutcome apsp_semiring_batch(std::span<const Graph> gs,
           // 3.3).
           next[b](u, v) = next[b](u, w);
         }
-      d[b] = std::move(sq[b].dist);
-    }
-    if (it + 1 == iters) break;  // hop bound reached: nothing to decide
+      }
+      return improved;
+    };
     // Convergence vote, charged for real like agree_on_seed: every node
     // announces "did any entry of my rows improve" (one word per link, 1
     // round) and everyone exits together when no graph's iterate improved
     // — min-plus squaring is monotone, so a fixed point stays fixed.
     // Members that converge earlier ride along unchanged (squaring is
     // idempotent past convergence), the same shared-iteration-count
-    // argument as the padding above. The exit derives from the BROADCAST
-    // flags (not the local scan), so every rank of a sharded run exits the
-    // same iteration.
-    improved_row = clique::broadcast_all(net, std::move(improved_row));
-    const bool improved =
-        std::any_of(improved_row.begin(), improved_row.end(),
-                    [](clique::Word f) { return f != 0; });
+    // argument as the padding above. Once the hop bound is reached there
+    // is nothing to decide, and the rows are adopted without a vote.
+    bool improved = false;
+    if (it + 1 < iters)
+      improved =
+          clique::broadcast_reduce(net, adopt_row, std::bit_or<>()) != 0;
+    else
+      for (int u = own.begin; u < own.end; ++u) adopt_row(u);
+    for (std::size_t b = 0; b < batch; ++b) d[b] = std::move(sq[b].dist);
     if (!improved) break;
   }
 
@@ -242,11 +178,13 @@ ApspOutcome apsp_seidel(const Graph& g, MmKind kind, int depth) {
   const IntMmEngine engine(kind, n, depth);
   const int big = engine.clique_n();
   clique::Network net(big);
-  // Sharded execution: every level's product output is re-replicated via
-  // replicate_rows (see above), so the recursion's full-iterate scans stay
-  // valid on every rank and the stability / parity decisions are common
-  // knowledge. In-process the replication is a no-op and the level
-  // structure is byte-identical to the historical run.
+  // Node u computes only its own rows of every level's matrices, so under
+  // a sharded transport each rank scans its owned rows, which are exactly
+  // the authoritative rows of each product. The two cross-row facts a
+  // level needs, stability and the degrees, arrive by broadcast, so every
+  // rank takes the same recursion path. On return only the owned rows of
+  // dist are authoritative.
+  const clique::NodeSpan own = net.owned();
 
   // Recursive Seidel over 0/1 adjacency matrices (padded nodes isolated).
   // Distances use kInf for disconnected pairs; squared-graph stabilisation
@@ -260,21 +198,24 @@ ApspOutcome apsp_seidel(const Graph& g, MmKind kind, int depth) {
     CCA_EXPECTS(depth_guard < 2 * ilog2(std::max(2, n)) + 4);
 
     // Adjacency of G^2: A2 = A*A over Z, then boolean OR with A (local).
-    auto a2 = engine.multiply(net, a, a, &ctx);
-    replicate_rows(net, a2);
+    // Each node forms its row of C and reports whether it differs from its
+    // row of A; one broadcast ORs the flags.
+    const auto a2 = engine.multiply(net, a, a, &ctx);
     Matrix<std::int64_t> c(big, big, 0);
-    bool stable = true;
-    for (int i = 0; i < big; ++i)
+    auto form_row = [&](int i) {
+      bool changed = false;
       for (int j = 0; j < big; ++j) {
         c(i, j) = (i != j && (a(i, j) != 0 || a2(i, j) != 0)) ? 1 : 0;
-        if (c(i, j) != a(i, j)) stable = false;
+        if (c(i, j) != a(i, j)) changed = true;
       }
-    // Stability flags are OR-combined in one broadcast round.
-    net.charge_rounds(1);
+      return changed;
+    };
+    const bool stable =
+        clique::broadcast_reduce(net, form_row, std::bit_or<>()) == 0;
 
     if (stable) {
       Matrix<std::int64_t> d(big, big, kInf);
-      for (int i = 0; i < big; ++i)
+      for (int i = own.begin; i < own.end; ++i)
         for (int j = 0; j < big; ++j) {
           if (i == j)
             d(i, j) = 0;
@@ -290,23 +231,23 @@ ApspOutcome apsp_seidel(const Graph& g, MmKind kind, int depth) {
     // replaced by 0, which is sound: they pair only with A[k,v] = 0 for v
     // in the same component as u).
     Matrix<std::int64_t> d2z(big, big, 0);
-    for (int i = 0; i < big; ++i)
+    for (int i = own.begin; i < own.end; ++i)
       for (int j = 0; j < big; ++j)
         if (d2(i, j) < kInf) d2z(i, j) = d2(i, j);
-    auto s = engine.multiply(net, d2z, a, &ctx);
-    replicate_rows(net, s);
+    const auto s = engine.multiply(net, d2z, a, &ctx);
 
-    // One broadcast round teaches every node all degrees of this level.
-    net.charge_rounds(1);
-    std::vector<std::int64_t> deg(static_cast<std::size_t>(big), 0);
-    for (int v = 0; v < big; ++v) {
+    // One broadcast round teaches every node all degrees of this level. A
+    // is symmetric, so node v's row sum is its degree.
+    std::vector<clique::Word> deg(static_cast<std::size_t>(big), 0);
+    for (int v = own.begin; v < own.end; ++v) {
       std::int64_t dv = 0;
-      for (int u = 0; u < big; ++u) dv += a(u, v);
-      deg[static_cast<std::size_t>(v)] = dv;
+      for (int u = 0; u < big; ++u) dv += a(v, u);
+      deg[static_cast<std::size_t>(v)] = static_cast<clique::Word>(dv);
     }
+    deg = clique::broadcast_all(net, std::move(deg));
 
     Matrix<std::int64_t> d(big, big, kInf);
-    for (int u = 0; u < big; ++u)
+    for (int u = own.begin; u < own.end; ++u)
       for (int v = 0; v < big; ++v) {
         if (u == v) {
           d(u, v) = 0;
@@ -314,9 +255,9 @@ ApspOutcome apsp_seidel(const Graph& g, MmKind kind, int depth) {
         }
         if (d2(u, v) >= kInf) continue;  // different components
         const auto duv2 = d2(u, v);
-        d(u, v) = (s(u, v) >= duv2 * deg[static_cast<std::size_t>(v)])
-                      ? 2 * duv2
-                      : 2 * duv2 - 1;
+        const auto deg_v =
+            static_cast<std::int64_t>(deg[static_cast<std::size_t>(v)]);
+        d(u, v) = (s(u, v) >= duv2 * deg_v) ? 2 * duv2 : 2 * duv2 - 1;
       }
     return d;
   };
@@ -430,14 +371,16 @@ ApspOutcome apsp_small_diameter(const Graph& g, int depth) {
   std::int64_t u_guess = 1;
   for (;;) {
     const auto d = bounded_squaring(net, alg, w0, n, u_guess);
-    bool complete = true;
-    for (int a = 0; a < n && complete; ++a)
+    // Each node flags a reachable node still at infinite distance; one
+    // broadcast ORs the flags.
+    auto incomplete_row = [&](int a) {
+      if (a >= n) return false;
       for (int b = 0; b < n; ++b)
-        if (reach(a, b) != 0 && d(a, b) >= kInf) {
-          complete = false;
-          break;
-        }
-    net.charge_rounds(1);  // completeness flags
+        if (reach(a, b) != 0 && d(a, b) >= kInf) return true;
+      return false;
+    };
+    const bool complete =
+        clique::broadcast_reduce(net, incomplete_row, std::bit_or<>()) == 0;
     if (complete) {
       ApspOutcome out;
       out.dist = d.block(0, 0, n, n);
@@ -465,7 +408,7 @@ ApspOutcome apsp_approx(const Graph& g, double delta, int depth) {
   clique::Network net(plan.clique_n);
   // Sharded execution mirrors apsp_bounded: the ctx routes every level's
   // embedded product through the nnz-adaptive dispatcher (bilinear
-  // candidate dropped when sharded), broadcast_max_finite folds only owned
+  // candidate dropped when sharded), the maximum below folds only owned
   // rows, and dp_approx's admission scans skip infinite entries — so the
   // garbage non-owned rows of the iterate never feed a decision. On return
   // only the owned rows of dist are authoritative.
@@ -477,8 +420,29 @@ ApspOutcome apsp_approx(const Graph& g, double delta, int depth) {
   // decrease iteration over iteration, so the embedded products' nonzero
   // patterns grow monotonically — the hysteresis precondition.
   MmDispatchContext ctx;
+  // One broadcast round per iteration teaches every node the global
+  // maximum finite entry: each node contributes its row maximum. The
+  // maxima travel as unsigned Words, which is exact only for non-negative
+  // entries; the entry contract (w >= 0 on every arc) keeps every finite
+  // entry of every iterate non-negative, and the assert pins that per
+  // entry. Negative-weight APSP goes through apsp_semiring, whose witness
+  // codec bit-casts entries instead (regression in test_apsp.cpp).
+  auto row_max_finite = [&](int u) {
+    std::int64_t row_max = 0;
+    if (u < n)
+      for (int v = 0; v < d.cols(); ++v)
+        if (d(u, v) < kInf) {
+          CCA_ASSERT(d(u, v) >= 0);
+          row_max = std::max(row_max, d(u, v));
+        }
+    return row_max;
+  };
+  const auto max_word = [](clique::Word x, clique::Word y) {
+    return std::max(x, y);
+  };
   for (int it = 0; it < iters; ++it) {
-    const auto m_cur = broadcast_max_finite(net, d, n);
+    const auto m_cur = static_cast<std::int64_t>(
+        clique::broadcast_reduce(net, row_max_finite, max_word));
     d = dp_approx(net, alg, d, d, m_cur, delta, &ctx);
   }
 

@@ -27,6 +27,10 @@ BaselineDetectOutcome detect_k_cycle_dolev(const Graph& g, int k) {
   if (k > n || n == 0) return {false, {}};
 
   clique::Network net(std::max(1, n));
+  // Genuinely full-ownership: every holder and tuple node stages from and
+  // reads inboxes of the whole node range.
+  clique::require_full_ownership(net, "detect_k_cycle_dolev",
+                                 "use detect_k_cycle_cc for sharded runs");
 
   // q groups of size ceil(n/q); q = floor(n^{1/k}) keeps q^k <= n tuples.
   int q = static_cast<int>(
@@ -72,6 +76,7 @@ BaselineDetectOutcome detect_k_cycle_dolev(const Graph& g, int k) {
       }
       counts[static_cast<std::size_t>(u)] = static_cast<clique::Word>(cnt);
     }
+    // lint:allow(discarded-broadcast): full ownership; offsets come from g.
     (void)clique::broadcast_all(net, std::move(counts));
 
     std::int64_t index = 0;

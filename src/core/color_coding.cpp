@@ -1,6 +1,7 @@
 #include "core/color_coding.hpp"
 
 #include <cmath>
+#include <functional>
 #include <map>
 
 #include "clique/broadcast.hpp"
@@ -71,20 +72,15 @@ bool detect_colourful_cycle(clique::Network& net, const IntMmEngine& engine,
   // Close the cycle: node u knows its in-arcs, so checking C[u,v] && (v,u)
   // in E is local; one broadcast round ORs the per-node flags.
   const int n = g.n();
-  std::vector<clique::Word> flags(static_cast<std::size_t>(net.n()), 0);
-  for (int u = 0; u < n; ++u) {
+  auto closes_cycle = [&](int u) {
+    if (u >= n) return false;
     for (const auto& [v, w] : g.in_arcs(u)) {
       (void)w;
-      if (c(u, v) != 0) {
-        flags[static_cast<std::size_t>(u)] = 1;
-        break;
-      }
+      if (c(u, v) != 0) return true;
     }
-  }
-  const auto all = clique::broadcast_all(net, std::move(flags));
-  for (const auto f : all)
-    if (f != 0) return true;
-  return false;
+    return false;
+  };
+  return clique::broadcast_reduce(net, closes_cycle, std::bit_or<>()) != 0;
 }
 
 DetectOutcome detect_k_cycle_cc(const Graph& g, int k, std::uint64_t seed,

@@ -1,6 +1,7 @@
 #include "core/counting.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "clique/primitives.hpp"
 #include "util/contracts.hpp"
@@ -42,18 +43,6 @@ Matrix<std::int64_t> transpose_distributed(clique::Network& net, int n,
   return out;
 }
 
-/// Sum one word per node known at all nodes after a broadcast round.
-std::int64_t broadcast_and_sum(clique::Network& net,
-                               const std::vector<std::int64_t>& per_node) {
-  std::vector<clique::Word> words(per_node.size());
-  for (std::size_t i = 0; i < per_node.size(); ++i)
-    words[i] = static_cast<clique::Word>(per_node[i]);
-  const auto all = clique::broadcast_all(net, std::move(words));
-  std::int64_t sum = 0;
-  for (const auto w : all) sum += static_cast<std::int64_t>(w);
-  return sum;
-}
-
 }  // namespace
 
 CountOutcome count_triangles_cc(const Graph& g, MmKind kind, int depth) {
@@ -86,7 +75,6 @@ BatchCountOutcome count_triangles_cc_batch(std::span<const Graph> gs,
 
   BatchCountOutcome out;
   out.counts.reserve(batch);
-  const clique::NodeSpan own = net.owned();
   for (std::size_t b = 0; b < batch; ++b) {
     const Graph& g = gs[b];
     const int n = g.n();
@@ -98,15 +86,18 @@ BatchCountOutcome count_triangles_cc_batch(std::span<const Graph> gs,
         g.is_directed()
             ? transpose_distributed(net, big, as[b]).block(0, 0, n, n)
             : g.adjacency();
-    // Owned rows only: under sharding they are the authoritative slice of
-    // A^2, and broadcast_and_sum's underlying broadcast syncs the partials.
-    std::vector<std::int64_t> partial(static_cast<std::size_t>(big), 0);
-    parallel_for(own.begin, std::min(own.end, n), [&](int u) {
-      std::int64_t acc = 0;
-      for (int v = 0; v < n; ++v) acc += a2(u, v) * at(u, v);
-      partial[static_cast<std::size_t>(u)] = acc;
-    });
-    const auto tr = broadcast_and_sum(net, partial);
+    // Node u contributes its row's partial sum and one broadcast sums
+    // them (under sharding the owned rows are the authoritative slice of
+    // A^2).
+    const auto tr = static_cast<std::int64_t>(clique::broadcast_reduce(
+        net,
+        [&](int u) {
+          std::int64_t acc = 0;
+          if (u < n)
+            for (int v = 0; v < n; ++v) acc += a2(u, v) * at(u, v);
+          return acc;
+        },
+        std::plus<>()));
     const std::int64_t divisor = g.is_directed() ? 3 : 6;
     CCA_ASSERT(tr % divisor == 0);
     out.counts.push_back(tr / divisor);
@@ -128,31 +119,34 @@ CountOutcome count_4cycles_cc(const Graph& g, MmKind kind, int depth) {
   // real corner of A^2 (padded rows/columns of A^2 are zero).
   const auto a2t = transpose_distributed(net, big, a2).block(0, 0, n, n);
 
-  std::vector<std::int64_t> partial(static_cast<std::size_t>(big), 0);
-  const clique::NodeSpan own = net.owned();
-  parallel_for(own.begin, std::min(own.end, n), [&](int u) {
-    std::int64_t acc = 0;
-    for (int v = 0; v < n; ++v) acc += a2(u, v) * a2t(u, v);
-    partial[static_cast<std::size_t>(u)] = acc;
-  });
-  const auto tr = broadcast_and_sum(net, partial);
+  const auto tr = static_cast<std::int64_t>(clique::broadcast_reduce(
+      net,
+      [&](int u) {
+        std::int64_t acc = 0;
+        if (u < n)
+          for (int v = 0; v < n; ++v) acc += a2(u, v) * a2t(u, v);
+        return acc;
+      },
+      std::plus<>()));
 
   // Correction term: deg(v) for undirected graphs, the number of 2-cycles
   // delta(v) for digraphs — both local knowledge; one broadcast to sum.
-  std::vector<std::int64_t> corr(static_cast<std::size_t>(big), 0);
-  for (int v = 0; v < n; ++v) {
-    std::int64_t dv = 0;
-    if (g.is_directed()) {
-      for (const auto& [u, w] : g.out_arcs(v)) {
-        (void)w;
-        if (g.has_arc(u, v)) ++dv;
-      }
-    } else {
-      dv = g.out_degree(v);
-    }
-    corr[static_cast<std::size_t>(v)] = 2 * dv * dv - dv;
-  }
-  const auto corr_sum = broadcast_and_sum(net, corr);
+  const auto corr_sum = static_cast<std::int64_t>(clique::broadcast_reduce(
+      net,
+      [&](int v) {
+        std::int64_t dv = 0;
+        if (v >= n) return dv;
+        if (g.is_directed()) {
+          for (const auto& [u, w] : g.out_arcs(v)) {
+            (void)w;
+            if (g.has_arc(u, v)) ++dv;
+          }
+        } else {
+          dv = g.out_degree(v);
+        }
+        return 2 * dv * dv - dv;
+      },
+      std::plus<>()));
 
   const std::int64_t divisor = g.is_directed() ? 4 : 8;
   CCA_ASSERT((tr - corr_sum) % divisor == 0);
@@ -179,21 +173,23 @@ CountOutcome count_5cycles_cc(const Graph& g, MmKind kind, int depth) {
   // A^3[v,u] = sum_{u,v} A^2[u,v] A^3[u,v] needs no transpose: node u owns
   // row u of both factors. The correction terms use (A^3)_uu and deg(u),
   // both local to node u.
-  std::vector<std::int64_t> tr5_part(static_cast<std::size_t>(big), 0);
-  std::vector<std::int64_t> tr3_part(static_cast<std::size_t>(big), 0);
-  std::vector<std::int64_t> corr_part(static_cast<std::size_t>(big), 0);
-  const clique::NodeSpan own = net.owned();
-  parallel_for(own.begin, std::min(own.end, n), [&](int u) {
-    std::int64_t acc = 0;
-    for (int v = 0; v < n; ++v) acc += a2(u, v) * a3(u, v);
-    tr5_part[static_cast<std::size_t>(u)] = acc;
-    tr3_part[static_cast<std::size_t>(u)] = a3(u, u);
-    const std::int64_t d = g.out_degree(u);
-    corr_part[static_cast<std::size_t>(u)] = (d - 2) * a3(u, u);
-  });
-  const auto tr5 = broadcast_and_sum(net, tr5_part);
-  const auto tr3 = broadcast_and_sum(net, tr3_part);
-  const auto corr = broadcast_and_sum(net, corr_part);
+  const auto tr5 = static_cast<std::int64_t>(clique::broadcast_reduce(
+      net,
+      [&](int u) {
+        std::int64_t acc = 0;
+        if (u < n)
+          for (int v = 0; v < n; ++v) acc += a2(u, v) * a3(u, v);
+        return acc;
+      },
+      std::plus<>()));
+  const auto tr3 = static_cast<std::int64_t>(clique::broadcast_reduce(
+      net, [&](int u) { return u < n ? a3(u, u) : 0; }, std::plus<>()));
+  const auto corr = static_cast<std::int64_t>(clique::broadcast_reduce(
+      net,
+      [&](int u) {
+        return u < n ? (g.out_degree(u) - 2) * a3(u, u) : 0;
+      },
+      std::plus<>()));
 
   const auto numerator = tr5 - 5 * tr3 - 5 * corr;
   CCA_ASSERT(numerator % 10 == 0);

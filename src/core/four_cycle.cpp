@@ -1,6 +1,7 @@
 #include "core/four_cycle.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <unordered_map>
 
@@ -167,21 +168,17 @@ FourCycleOutcome detect_4cycle_const(const Graph& g) {
         static_cast<std::int64_t>(deg_all[static_cast<std::size_t>(v)]);
 
   // Phase 1: |P(x,*,*)| = sum_{y in N(x)} deg(y); >= 2n-1 forces a 4-cycle.
-  std::vector<clique::Word> flags(static_cast<std::size_t>(n), 0);
-  bool overflow = false;
-  for (int x = 0; x < n; ++x) {
+  // One broadcast round ORs the per-node overflow flags.
+  auto overflows = [&](int x) {
     std::int64_t walks = 0;
     for (const auto& [y, w] : g.out_arcs(x)) {
       (void)w;
       walks += deg[static_cast<std::size_t>(y)];
     }
-    if (walks >= 2 * static_cast<std::int64_t>(n) - 1) {
-      flags[static_cast<std::size_t>(x)] = 1;
-      overflow = true;
-    }
-  }
-  (void)clique::broadcast_all(net, std::move(flags));
-  if (overflow) return {true, net.stats()};
+    return walks >= 2 * static_cast<std::int64_t>(n) - 1;
+  };
+  if (clique::broadcast_reduce(net, overflows, std::bit_or<>()) != 0)
+    return {true, net.stats()};
 
   // Phase 2: Lemma 12 tiling (computed identically at every node).
   const auto tiles = lemma12_tiling(deg, n);
@@ -276,29 +273,26 @@ FourCycleOutcome detect_4cycle_const(const Graph& g) {
   });
   net.deliver();
 
-  // Step 4: x scans its gathered P(x,*,*) for a repeated endpoint z != x.
-  std::vector<clique::Word> found_flags(static_cast<std::size_t>(n), 0);
-  bool found = false;
-  {
-    std::vector<int> count(static_cast<std::size_t>(n), 0);
-    for (int x = 0; x < n; ++x) {
-      std::vector<int> touched;
-      for (int b = 0; b < n; ++b) {
-        for (const auto w : net.inbox(x, b)) {
-          const auto [y, z] = unpack_pair(w);
-          (void)y;
-          if (z == x) continue;
-          if (++count[static_cast<std::size_t>(z)] == 2) {
-            found = true;
-            found_flags[static_cast<std::size_t>(x)] = 1;
-          }
-          touched.push_back(z);
-        }
+  // Step 4: x scans its gathered P(x,*,*) for a repeated endpoint z != x;
+  // one broadcast round ORs the per-node flags.
+  std::vector<int> count(static_cast<std::size_t>(n), 0);
+  auto repeats = [&](int x) {
+    bool repeated = false;
+    std::vector<int> touched;
+    for (int b = 0; b < n; ++b) {
+      for (const auto w : net.inbox(x, b)) {
+        const auto [y, z] = unpack_pair(w);
+        (void)y;
+        if (z == x) continue;
+        if (++count[static_cast<std::size_t>(z)] == 2) repeated = true;
+        touched.push_back(z);
       }
-      for (const int z : touched) count[static_cast<std::size_t>(z)] = 0;
     }
-  }
-  (void)clique::broadcast_all(net, std::move(found_flags));
+    for (const int z : touched) count[static_cast<std::size_t>(z)] = 0;
+    return repeated;
+  };
+  const bool found =
+      clique::broadcast_reduce(net, repeats, std::bit_or<>()) != 0;
   return {found, net.stats()};
 }
 

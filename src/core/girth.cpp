@@ -1,6 +1,7 @@
 #include "core/girth.hpp"
 
 #include <cmath>
+#include <functional>
 
 #include "clique/broadcast.hpp"
 #include "clique/primitives.hpp"
@@ -62,13 +63,10 @@ GirthOutcome girth_undirected_cc(const Graph& g, std::uint64_t seed,
   std::int64_t m = 0;
   {
     clique::Network net(std::max(1, n));
-    std::vector<clique::Word> deg(static_cast<std::size_t>(std::max(1, n)), 0);
-    for (int v = 0; v < n; ++v)
-      deg[static_cast<std::size_t>(v)] =
-          static_cast<clique::Word>(g.out_degree(v));
-    const auto all = clique::broadcast_all(net, std::move(deg));
-    for (const auto d : all) m += static_cast<std::int64_t>(d);
-    m /= 2;
+    const auto degree_sum = clique::broadcast_reduce(
+        net, [&](int v) { return v < n ? g.out_degree(v) : 0; },
+        std::plus<>());
+    m = static_cast<std::int64_t>(degree_sum) / 2;
     total = net.stats();
   }
 
@@ -170,17 +168,14 @@ GirthOutcome girth_directed_cc(const Graph& g, MmKind kind, int depth) {
   MmDispatchContext ctx;
 
   // Has some node a closed walk? Each node checks its own diagonal entry
-  // and the flags are OR-combined in one broadcast round.
+  // and the flags are OR-combined in one broadcast round. The loop exits
+  // and the search branches below test the broadcast OR, never a scan of
+  // the local matrix: under sharding only owned rows are valid, and ranks
+  // that decided on their own rows would stage different supersteps.
   auto any_diag = [&](const Matrix<std::int64_t>& b) {
-    std::vector<clique::Word> flags(static_cast<std::size_t>(big), 0);
-    bool any = false;
-    for (int v = 0; v < n; ++v)
-      if (b(v, v) != 0) {
-        flags[static_cast<std::size_t>(v)] = 1;
-        any = true;
-      }
-    (void)clique::broadcast_all(net, std::move(flags));
-    return any;
+    return clique::broadcast_reduce(
+               net, [&](int v) { return v < n && b(v, v) != 0; },
+               std::bit_or<>()) != 0;
   };
 
   auto bool_mul_or_a = [&](const Matrix<std::int64_t>& x,

@@ -82,8 +82,8 @@ TEST(ApspSemiring, NegativeWeightsOnDag) {
 }
 
 TEST(ApspSemiring, NegativeWeightsThroughSparseAutoPath) {
-  // Negative-weight regression for the nnz-adaptive path (the
-  // broadcast_max_finite audit's companion): a SPARSE negative-weight DAG
+  // Negative-weight regression for the nnz-adaptive path (the companion of
+  // apsp_approx's unsigned row-maximum audit): a SPARSE negative-weight DAG
   // forces the first squarings onto the sparse witness engine, whose codec
   // bit-casts entries — negative distances must survive the wire format,
   // and the routing tables must still route optimally.

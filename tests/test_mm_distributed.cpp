@@ -3,24 +3,33 @@
 // plus socketpair'd P=2 runs pinning the ownership-generic engine layer
 // (sharded Auto dispatch, the sparse batch, batched APSP, and fault
 // injection under the socket backend) bit-identical to the single-process
-// arena oracle, and a P=3 run covering odd P with schedule-cache misses
-// (the split shared over the ranks) and hits.
+// arena oracle, P=3 runs covering odd P with schedule-cache misses (the
+// split shared over the ranks) and hits, directed girth and Seidel at
+// P=2 and P=3, and the broadcast_reduce primitive. Every multi-rank run
+// sits under a watchdog, so a deadlock fails the test instead of hanging.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "clique/fault.hpp"
 #include "clique/network.hpp"
+#include "clique/primitives.hpp"
 #include "clique/socket_transport.hpp"
 #include "clique/transport.hpp"
 #include "core/apsp.hpp"
+#include "core/baseline.hpp"
 #include "core/color_coding.hpp"
 #include "core/counting.hpp"
 #include "core/engine.hpp"
@@ -339,12 +348,39 @@ std::vector<std::shared_ptr<clique::SocketMesh>> socket_meshes(int procs) {
   return meshes;
 }
 
+/// Wall deadline for one run_ranks call. Every case here finishes in a few
+/// seconds; ranks that diverge block on each other forever, so a watchdog
+/// turns that hang into a failure naming the test.
+constexpr std::chrono::seconds kRankDeadline{120};
+
 /// Run one SPMD body per rank concurrently (deliver() blocks on the peers).
+/// Aborts the process if the ranks have not all returned by kRankDeadline.
 void run_ranks(int procs, const std::function<void(int)>& body) {
+  std::mutex mu;
+  std::condition_variable finished;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (finished.wait_for(lock, kRankDeadline, [&] { return done; })) return;
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::fprintf(stderr,
+                 "run_ranks: %s.%s: %d ranks still running after %llds "
+                 "(deadlock?); aborting\n",
+                 test != nullptr ? test->test_suite_name() : "?",
+                 test != nullptr ? test->name() : "?", procs,
+                 static_cast<long long>(kRankDeadline.count()));
+    std::abort();
+  });
   std::vector<std::thread> peers;
   for (int r = 1; r < procs; ++r) peers.emplace_back([&body, r] { body(r); });
   body(0);
   for (auto& t : peers) t.join();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  finished.notify_one();
+  watchdog.join();
 }
 
 /// The deterministic TrafficStats fields (wall-clock telemetry excluded).
@@ -598,6 +634,115 @@ TEST(SocketP2Engines, UndirectedGirthMatchesArenaOracle) {
       expect_stats_eq(got.traffic, oracle.traffic, r);
     });
   }
+}
+
+TEST(SocketP2Engines, DolevRaisesTypedError) {
+  // The Dolev et al. baseline stages from and reads every node; under
+  // sharding it refuses with a typed error on every rank instead of
+  // aborting on the first non-owned send.
+  const Graph g = planted_cycle_graph(24, 5, 0.3, 7);
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    EXPECT_THROW((void)detect_k_cycle_dolev(g, 5), InvalidArgument)
+        << "rank " << r;
+  });
+}
+
+// Directed girth decides its doubling exit and every binary-search branch
+// on a diagonal-hit vote. Each rank holds only its owned rows of the
+// powers, so a rank deciding on its own scan diverges from its peers and
+// the ranks deadlock; these inputs hit that divergence at P = 2 and P = 3.
+void expect_sharded_directed_girth(int procs) {
+  const struct {
+    int n;
+    std::uint64_t seed;
+  } cases[] = {{13, 7}, {12, 1}, {10, 3}};
+  for (const auto& c : cases) {
+    const Graph g = gnp_random_graph(c.n, 0.2, c.seed, /*directed=*/true);
+    const auto oracle = girth_directed_cc(g);
+    const auto meshes = socket_meshes(procs);
+    run_ranks(procs, [&](int r) {
+      clique::TransportScope scope(
+          clique::SocketTransport::factory(meshes[r]));
+      const auto got = girth_directed_cc(g);
+      EXPECT_EQ(got.girth, oracle.girth)
+          << "n " << c.n << " seed " << c.seed << " rank " << r;
+      expect_stats_eq(got.traffic, oracle.traffic, r);
+    });
+  }
+}
+
+TEST(SocketP2Engines, DirectedGirthMatchesArenaOracle) {
+  expect_sharded_directed_girth(2);
+}
+
+TEST(SocketP3Engines, DirectedGirthMatchesArenaOracle) {
+  expect_sharded_directed_girth(3);
+}
+
+// Seidel computes every level over owned rows; its stability flag and
+// degrees travel by broadcast, so owned distance rows and every charge
+// equal the oracle's.
+void expect_sharded_seidel(int procs) {
+  for (const std::uint64_t seed : {1, 2}) {
+    const Graph g = gnp_random_graph(13, 0.3, seed);
+    const auto oracle = apsp_seidel(g);
+    const int clique_n = IntMmEngine(MmKind::Auto, g.n()).clique_n();
+    const auto meshes = socket_meshes(procs);
+    run_ranks(procs, [&](int r) {
+      clique::TransportScope scope(
+          clique::SocketTransport::factory(meshes[r]));
+      const auto got = apsp_seidel(g);
+      expect_owned_rows_eq(got.dist, oracle.dist,
+                           clique::shard_span(clique_n, procs, r), r);
+      EXPECT_EQ(got.engine_trace, oracle.engine_trace) << "rank " << r;
+      expect_stats_eq(got.traffic, oracle.traffic, r);
+    });
+  }
+}
+
+TEST(SocketP2Engines, SeidelMatchesArenaOracle) { expect_sharded_seidel(2); }
+
+TEST(SocketP3Engines, SeidelMatchesArenaOracle) { expect_sharded_seidel(3); }
+
+TEST(SocketP2Primitives, BroadcastReduceFoldsOwnedWordsOnEveryRank) {
+  const int n = 5;
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    clique::Network net(n);
+    std::vector<int> calls;
+    const auto sum = clique::broadcast_reduce(
+        net,
+        [&](int v) {
+          calls.push_back(v);
+          return v + 1;
+        },
+        std::plus<>());
+    EXPECT_EQ(sum, clique::Word{15}) << "rank " << r;
+    std::vector<int> owned;
+    for (int v = net.owned().begin; v < net.owned().end; ++v)
+      owned.push_back(v);
+    EXPECT_EQ(calls, owned) << "rank " << r;
+    EXPECT_EQ(net.stats().rounds, 1) << "rank " << r;
+    EXPECT_EQ(net.stats().bound_rounds, 1) << "rank " << r;
+    EXPECT_EQ(net.stats().total_words, 0) << "rank " << r;
+    EXPECT_EQ(net.stats().supersteps, 0) << "rank " << r;
+    // Only node 3 holds a 1: every rank sees the OR, including the rank
+    // that does not own node 3.
+    const auto any = clique::broadcast_reduce(
+        net, [](int v) { return v == 3; }, std::bit_or<>());
+    EXPECT_EQ(any, clique::Word{1}) << "rank " << r;
+    EXPECT_EQ(net.stats().rounds, 2) << "rank " << r;
+  });
+
+  clique::Network single(1);
+  const auto only = clique::broadcast_reduce(
+      single, [](int v) { return v + 7; }, std::plus<>());
+  EXPECT_EQ(only, clique::Word{7});
+  EXPECT_EQ(single.stats().rounds, 0);
+  EXPECT_EQ(single.stats().total_words, 0);
 }
 
 TEST(SocketP2Engines, FaultMixChargesBitIdenticallyAcrossFourSeeds) {

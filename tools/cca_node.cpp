@@ -20,7 +20,7 @@
 // Usage:
 //   cca_node --rank R --nprocs P --port-base B
 //            --workload {mm,mm_sparse,apsp,apsp_auto,apsp_batch,seidel,
-//                        witness,triangles,fault_mix} --n N [--seed S]
+//                        girth,witness,triangles,fault_mix} --n N [--seed S]
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +38,7 @@
 #include "core/apsp.hpp"
 #include "core/counting.hpp"
 #include "core/engine.hpp"
+#include "core/girth.hpp"
 #include "core/mm_dense.hpp"
 #include "core/mm_sparse.hpp"
 #include "graph/generators.hpp"
@@ -64,7 +65,7 @@ struct Options {
                "cca_node: %s\n"
                "usage: cca_node --rank R --nprocs P --port-base B "
                "--workload {mm,mm_sparse,apsp,apsp_auto,apsp_batch,seidel,"
-               "witness,triangles,fault_mix} --n N [--seed S]\n",
+               "girth,witness,triangles,fault_mix} --n N [--seed S]\n",
                msg);
   std::exit(2);
 }
@@ -246,8 +247,9 @@ void run_apsp_batch(const Options& o,
   check_stats(got.traffic, oracle.traffic, o.rank);
 }
 
-/// seidel: recursive unweighted APSP whose per-level products are
-/// re-replicated to every rank, so the FULL distance matrix must match.
+/// seidel: recursive unweighted APSP computed over owned rows at every
+/// level; the stability flag and the degrees travel by broadcast, so the
+/// owned distance rows must match.
 void run_seidel(const Options& o,
                 const std::shared_ptr<clique::SocketMesh>& mesh) {
   const auto g = gnp_random_graph(o.n, 0.4, o.seed);
@@ -256,9 +258,30 @@ void run_seidel(const Options& o,
   clique::TransportScope scope(clique::SocketTransport::factory(mesh));
   const auto got = apsp_seidel(g);
 
-  check_owned_rows(got.dist, oracle.dist, clique::NodeSpan{0, o.n}, o.rank,
-                   "dist");
+  const auto own = clique::shard_span(
+      IntMmEngine(MmKind::Auto, o.n).clique_n(), o.nprocs, o.rank);
+  check_owned_rows(got.dist, oracle.dist, own, o.rank, "dist");
   check_stats(got.traffic, oracle.traffic, o.rank);
+}
+
+/// girth: directed girth (Corollary 16) on G(n, 0.2), whose doubling exit
+/// and binary-search branches follow broadcast votes, then undirected
+/// girth (Theorem 15) on G(n, 0.3). Both girths are common knowledge, so
+/// every rank must hold the oracle's values.
+void run_girth(const Options& o,
+               const std::shared_ptr<clique::SocketMesh>& mesh) {
+  const auto dg = gnp_random_graph(o.n, 0.2, o.seed, /*directed=*/true);
+  const auto ug = gnp_random_graph(o.n, 0.3, o.seed);
+  const auto d_oracle = girth_directed_cc(dg);
+  const auto u_oracle = girth_undirected_cc(ug, o.seed);
+
+  clique::TransportScope scope(clique::SocketTransport::factory(mesh));
+  const auto d_got = girth_directed_cc(dg);
+  check_i64(d_got.girth, d_oracle.girth, "directed girth", o.rank);
+  check_stats(d_got.traffic, d_oracle.traffic, o.rank);
+  const auto u_got = girth_undirected_cc(ug, o.seed);
+  check_i64(u_got.girth, u_oracle.girth, "undirected girth", o.rank);
+  check_stats(u_got.traffic, u_oracle.traffic, o.rank);
 }
 
 /// witness: a replicated exact distance matrix (computed in-process, like
@@ -346,6 +369,8 @@ int main(int argc, char** argv) {
       run_apsp_batch(o, mesh);
     else if (o.workload == "seidel")
       run_seidel(o, mesh);
+    else if (o.workload == "girth")
+      run_girth(o, mesh);
     else if (o.workload == "witness")
       run_witness(o, mesh);
     else if (o.workload == "fault_mix")

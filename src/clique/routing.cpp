@@ -615,7 +615,21 @@ int split_tasks_for(int workers) {
   return std::min(64, 2 * workers);
 }
 
-int default_split_tasks() { return split_tasks_for(parallel_workers()); }
+/// The in-process task count for a list of `words` words: serial below
+/// cca::kParallelMinWork, whose split is too small to pay for a pool
+/// dispatch, otherwise split_tasks_for the pool's workers.
+int default_split_tasks(std::size_t words) {
+  if (words < kParallelMinWork) return 1;
+  return split_tasks_for(parallel_workers());
+}
+
+/// Words of a counted edge list: the work estimate of the split's task,
+/// expansion and replay loops, each of which touches every word once.
+std::size_t edge_words(const std::vector<Edge>& edges) {
+  std::int64_t words = 0;
+  for (const auto& e : edges) words += e.count;
+  return static_cast<std::size_t>(words);
+}
 
 /// Smallest number of real (non-collapsing) splits whose full frontier
 /// holds >= `tasks` subtrees.
@@ -646,9 +660,10 @@ int expansion_depth_for(int tasks) {
 /// and the round total.
 class KoenigColouring {
  public:
-  /// Colour `edges`. The serial path (split_tasks <= 1) is one task: one
-  /// engine walks the whole recursion, producing the reference sequence
-  /// every parallel run must reproduce. Otherwise the top of the recursion
+  /// Colour `edges`. split_tasks <= 0 picks default_split_tasks. The serial
+  /// path (split_tasks == 1) is one task: one engine walks the whole
+  /// recursion, producing the reference sequence every parallel run must
+  /// reproduce. Otherwise the top of the recursion
   /// is expanded into independent subtree tasks. Every task runs on its own
   /// engine under parallel_for, and the load matrices are replayed from the
   /// task logs, parallel over intermediates. Each engine's scratch starts
@@ -659,7 +674,9 @@ class KoenigColouring {
       : n_(n),
         load_a_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
         load_b_(load_a_.size()),
-        tree_(1) {
+        tree_(1),
+        words_(edge_words(edges)) {
+    if (split_tasks <= 0) split_tasks = default_split_tasks(words_);
     std::vector<SplitTask> tasks;
     if (split_tasks > 1) {
       tasks = expand(std::move(edges), expansion_depth_for(split_tasks));
@@ -669,12 +686,13 @@ class KoenigColouring {
     }
     tasks_ = static_cast<int>(tasks.size());
     grow_engines(tasks.size());
-    parallel_for(0, tasks_, [&](int t) { run_task(tasks, t); });
+    parallel_for(0, tasks_, words_, [&](int t) { run_task(tasks, t); });
     task_classes_.resize(tasks.size());
     for (std::size_t t = 0; t < tasks.size(); ++t)
       task_classes_[t] = static_cast<std::int64_t>(engines_[t].classes());
     lay_out(0);
-    if (total_colours_ > 0) parallel_for(0, n_, [&](int mid) { replay(mid); });
+    if (total_colours_ > 0)
+      parallel_for(0, n_, words_, [&](int mid) { replay(mid); });
   }
 
   /// The split shared by the ranks of `group` (see the SplitGroup overload
@@ -686,7 +704,8 @@ class KoenigColouring {
       : n_(n),
         load_a_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
         load_b_(load_a_.size()),
-        tree_(1) {
+        tree_(1),
+        words_(edge_words(edges)) {
     const int procs = group.nprocs;
     auto tasks =
         expand(std::move(edges), expansion_depth_for(split_tasks_for(procs)));
@@ -695,7 +714,8 @@ class KoenigColouring {
     const auto dealt = [&](int q) {  // tasks of rank q: q, q + P, ...
       return q < tasks_ ? (tasks_ - q + procs - 1) / procs : 0;
     };
-    parallel_for(0, dealt(group.rank),
+    const std::size_t my_words = words_ / static_cast<std::size_t>(procs);
+    parallel_for(0, dealt(group.rank), my_words,
                  [&](int i) { run_task(tasks, group.rank + i * procs); });
 
     // Class counts, one block per rank in its task order.
@@ -766,13 +786,10 @@ class KoenigColouring {
   /// Run task t's whole subtree on engine t, keeping only its class log.
   void run_task(std::vector<SplitTask>& tasks, int t) {
     auto& task = tasks[static_cast<std::size_t>(t)];
-    std::int64_t words = 0;
-    if (task.packed)
-      words = static_cast<std::int64_t>(task.packed_edges.size());
-    else
-      for (const auto& e : task.edges) words += e.count;
+    const std::size_t words =
+        task.packed ? task.packed_edges.size() : edge_words(task.edges);
     auto& eng = engines_[static_cast<std::size_t>(t)];
-    eng.reset_log(words);
+    eng.reset_log(static_cast<std::int64_t>(words));
     eng.run(std::move(task));
     eng.drop_scratch();
   }
@@ -801,7 +818,7 @@ class KoenigColouring {
       lo.assign(width, {});
       hi.assign(width, {});
       kids.assign(width, 0);
-      parallel_for(0, static_cast<int>(width), [&](int i) {
+      parallel_for(0, static_cast<int>(width), words_, [&](int i) {
         const auto u = static_cast<std::size_t>(i);
         auto& open = frontier[u];
         if (open.splits < max_splits && open.task.depth <= 64)
@@ -927,7 +944,8 @@ class KoenigColouring {
     for (std::size_t s = 0; s < segments_.size(); ++s)
       if (segments_[s].task % procs == group.rank)
         mine.push_back(static_cast<int>(s));
-    parallel_for(0, static_cast<int>(mine.size()), [&](int i) {
+    const std::size_t my_words = words_ / static_cast<std::size_t>(procs);
+    parallel_for(0, static_cast<int>(mine.size()), my_words, [&](int i) {
       const auto s = static_cast<std::size_t>(mine[static_cast<std::size_t>(i)]);
       const Segment& seg = segments_[s];
       const auto& eng = engines_[static_cast<std::size_t>(seg.task)];
@@ -969,6 +987,7 @@ class KoenigColouring {
   std::vector<std::int64_t> load_b_;  ///< intermediate-major: [mid][dst]
   std::vector<SplitEngine> engines_;   ///< one per frontier node / task
   std::vector<TreeNode> tree_;         ///< expansion tree, root first
+  std::size_t words_;                  ///< words of the coloured list
   std::vector<Segment> segments_;      ///< task logs in class order
 };
 
@@ -1036,7 +1055,7 @@ std::int64_t rounds_koenig_relay(int n, const std::vector<Demand>& demands) {
 }
 
 Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands) {
-  return schedule_koenig_relay(n, demands, default_split_tasks());
+  return schedule_koenig_relay(n, demands, 0);
 }
 
 Schedule schedule_koenig_relay(int n, const std::vector<Demand>& demands,
@@ -1072,9 +1091,7 @@ std::vector<std::vector<std::pair<int, int>>> koenig_relay_classes(
   CCA_EXPECTS(n >= 1);
   auto edges = demand_edges(n, demands, nullptr);
   if (edges.empty()) return {};
-  const KoenigColouring colouring(
-      n, std::move(edges),
-      split_tasks <= 0 ? default_split_tasks() : split_tasks);
+  const KoenigColouring colouring(n, std::move(edges), split_tasks);
   std::vector<std::vector<std::pair<int, int>>> classes;
   classes.reserve(static_cast<std::size_t>(colouring.total_colours()));
   colouring.for_each_class([&](std::span<const std::uint32_t> es) {
@@ -1099,19 +1116,26 @@ int koenig_split_task_count(int n, const std::vector<Demand>& demands,
 }  // namespace detail
 
 std::uint64_t demand_fingerprint(int n, const std::vector<Demand>& demands) {
-  // Order-sensitive SplitMix64 chaining over (n, src, dst, words). The
-  // callers pass the canonical (src, dst)-ascending list, so byte-identical
-  // traffic shapes — and only those — are meant to collide.
+  // Order-sensitive multiply-xorshift chaining over (n, src, dst, words),
+  // finished with SplitMix64. The callers pass the canonical (src,
+  // dst)-ascending list, so byte-identical traffic shapes — and only those
+  // — are meant to collide. Every cache hit pays this hash, once per
+  // superstep, so each demand folds into one word off the dependency
+  // chain and the chain itself is one multiply and one xorshift per
+  // demand.
+  constexpr std::uint64_t kPairMul = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t kChainMul = 0xbf58476d1ce4e5b9ULL;
   std::uint64_t h =
       splitmix64(0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(n));
   for (const auto& d : demands) {
     const auto pair =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(d.src)) << 32) |
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(d.dst));
-    h = splitmix64(h ^ pair);
-    h = splitmix64(h ^ static_cast<std::uint64_t>(d.words));
+    h = (h ^ (pair * kPairMul + static_cast<std::uint64_t>(d.words))) *
+        kChainMul;
+    h ^= h >> 31;
   }
-  return h;
+  return splitmix64(h);
 }
 
 const Schedule& ScheduleCache::get(int n, const std::vector<Demand>& demands,

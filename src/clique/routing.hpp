@@ -103,8 +103,10 @@ struct Schedule {
 /// straight from the per-task class logs in DFS order. The colour classes,
 /// and therefore the rounds, are BIT-IDENTICAL for every task count,
 /// including the pure-serial split_tasks <= 1 path (pinned by
-/// tests/test_routing.cpp). The parameterless overload picks the task count
-/// from cca::parallel_workers() (1 worker => serial, else 2 per worker).
+/// tests/test_routing.cpp). The parameterless overload, and split_tasks <= 0,
+/// pick the task count from the list's word count and
+/// cca::parallel_workers(): serial below cca::kParallelMinWork words or at
+/// one worker, else 2 per worker.
 [[nodiscard]] Schedule schedule_koenig_relay(int n,
                                              const std::vector<Demand>& demands);
 [[nodiscard]] Schedule schedule_koenig_relay(int n,

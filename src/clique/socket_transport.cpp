@@ -400,8 +400,7 @@ std::span<std::byte> SocketTransport::arena_range(NodeId dst, NodeId s_lo,
 
 DeliverySummary SocketTransport::deliver() {
   check_phase_change_serial("deliver");
-  const bool wide = wide_delivery();
-  count_staged_words(wide);
+  count_staged_words();
 
   const int me = mesh_->rank();
   const auto nn = static_cast<std::size_t>(n());
@@ -482,7 +481,7 @@ DeliverySummary SocketTransport::deliver() {
                                std::to_string(q) +
                                " disagrees with its count rows");
   }
-  scatter_and_clear_outboxes(own_, wide);
+  scatter_and_clear_outboxes(own_);
   return sum;
 }
 

@@ -46,15 +46,12 @@ void check_phase_change_serial(const char* what) {
 #endif
 }
 
-/// Run fn(v) for every v in [begin, end): under cca::parallel_for when the
-/// delivery is wide, inline otherwise.
-template <typename Fn>
-void for_each_node(bool wide, int begin, int end, Fn&& fn) {
-  if (wide) {
-    parallel_for(begin, end, fn);
-    return;
-  }
-  for (int v = begin; v < end; ++v) fn(v);
+/// Words staged in the local outboxes: the work estimate of deliver()'s
+/// per-source count and scatter passes.
+std::size_t staged_words(const std::vector<std::vector<Word>>& outboxes) {
+  std::size_t words = 0;
+  for (const auto& data : outboxes) words += data.size();
+  return words;
 }
 
 }  // namespace
@@ -186,17 +183,11 @@ void ArenaTransport::discard_staged() {
   }
 }
 
-bool ArenaTransport::wide_delivery() const noexcept {
-  std::size_t words = 0;
-  for (const auto& data : out_data_) words += data.size();
-  return words >= kWideDeliverWords;
-}
-
-void ArenaTransport::count_staged_words(bool wide) {
+void ArenaTransport::count_staged_words() {
   // Pass 1: per-pair word counts from the staged segments. Source src
   // writes only its row src*n .. src*n + n of pair_words_.
   const auto nn = static_cast<std::size_t>(n_);
-  for_each_node(wide, 0, n_, [&](int src) {
+  parallel_for(0, n_, staged_words(out_data_), [&](int src) {
     std::size_t* row = pair_words_.data() + static_cast<std::size_t>(src) * nn;
     std::fill(row, row + nn, 0);
     for (const auto& seg : out_segs_[static_cast<std::size_t>(src)])
@@ -259,11 +250,11 @@ void ArenaTransport::rebuild_arena(NodeSpan dsts) {
 #endif
 }
 
-void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts, bool wide) {
+void ArenaTransport::scatter_and_clear_outboxes(NodeSpan dsts) {
   // Pass 2b: each source copies its runs into its own arena slices, using
   // its row of pair_words_ as the per-pair write cursor.
   const auto nn = static_cast<std::size_t>(n_);
-  for_each_node(wide, 0, n_, [&](int src) {
+  parallel_for(0, n_, staged_words(out_data_), [&](int src) {
     const auto s = static_cast<std::size_t>(src);
     std::size_t* consumed = pair_words_.data() + s * nn;
     std::fill(consumed, consumed + nn, 0);
@@ -293,11 +284,10 @@ DeliverySummary ArenaTransport::deliver() {
   // delivery phase change is not — it mutates every outbox and the arena.
   // Its passes may fan out internally once the caller is serial.
   check_phase_change_serial("deliver");
-  const bool wide = wide_delivery();
-  count_staged_words(wide);
+  count_staged_words();
   auto sum = summarize_counts();
   rebuild_arena({0, n_});
-  scatter_and_clear_outboxes({0, n_}, wide);
+  scatter_and_clear_outboxes({0, n_});
   return sum;
 }
 

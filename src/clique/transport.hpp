@@ -13,7 +13,7 @@
 //  * staging is per-source exclusive and may run under cca::parallel_for
 //    (one src per iteration); deliver()/discard_staged() must not. A
 //    deliver() is still CALLED serially, but it may fan its own passes out
-//    over the worker pool (ArenaTransport::kWideDeliverWords).
+//    over the worker pool (cca::parallel_for, sized by the staged words).
 //  * spans returned by stage() die at the next same-source staging call or
 //    at deliver(); inbox() views die at the next deliver(). The generation
 //    counters (and CCA_SANITIZE's poison relocation) make violations fault
@@ -210,9 +210,10 @@ class TransportScope {
 ///
 /// deliver() runs four passes: count, summary, layout and scatter. Count
 /// and scatter work per source, and each source owns disjoint state (its
-/// row of pair_words_, its outbox and its arena slices), so a superstep
-/// staging at least kWideDeliverWords words runs those two under
-/// cca::parallel_for; smaller ones run them inline. The summary and the
+/// row of pair_words_, its outbox and its arena slices), so those two run
+/// under cca::parallel_for with the staged word count as their work
+/// estimate: a superstep staging at least cca::kParallelMinWork words fans
+/// them out, smaller ones run them inline. The summary and the
 /// layout are one sweep each with a running offset, always inline. The
 /// arena grows without zero-filling: the layout is built from the same
 /// counts that the scatter (and SocketTransport's frame copy) consume, so
@@ -225,12 +226,6 @@ class TransportScope {
 class ArenaTransport : public Transport {
  public:
   explicit ArenaTransport(int n);
-
-  /// Staged words (summed over every local outbox) from which deliver()
-  /// runs its count and scatter passes under cca::parallel_for. Sized between the workloads
-  /// it separates: colour coding's ~2.6k-word supersteps stay inline,
-  /// the ~0.8M-word APSP squarings and triangle relays go wide.
-  static constexpr std::size_t kWideDeliverWords = std::size_t{1} << 16;
 
   [[nodiscard]] int n() const noexcept override { return n_; }
 
@@ -260,17 +255,14 @@ class ArenaTransport : public Transport {
 
   // deliver() split into its phases so a derived backend can interleave its
   // exchange steps while keeping the canonical summary and arena layout
-  // bit-identical. With wide = wide_delivery(), deliver() ==
-  // count_staged_words(wide); summarize_counts(); rebuild_arena({0, n});
-  // scatter_and_clear_outboxes({0, n}, wide). `wide` runs a pass under
-  // cca::parallel_for; the result is the same either way.
-
-  /// Whether the local outboxes hold at least kWideDeliverWords words.
-  [[nodiscard]] bool wide_delivery() const noexcept;
+  // bit-identical. deliver() == count_staged_words(); summarize_counts();
+  // rebuild_arena({0, n}); scatter_and_clear_outboxes({0, n}). The count
+  // and scatter passes run under cca::parallel_for with the local staged
+  // word count as their estimate; the result is the same either way.
 
   /// Pass 1: fill pair_words_ (indexed src*n + dst) from the staged
   /// segments of every LOCAL outbox.
-  void count_staged_words(bool wide);
+  void count_staged_words();
 
   /// The canonical DeliverySummary — (src asc, dst asc) demand list with
   /// self/empty pairs excluded, total and per-node volumes — computed from
@@ -288,7 +280,7 @@ class ArenaTransport : public Transport {
   /// their arena slices and release the outboxes (runs to other
   /// destinations were already framed to their owning ranks).
   /// pair_words_ is consumed as the write cursor.
-  void scatter_and_clear_outboxes(NodeSpan dsts, bool wide);
+  void scatter_and_clear_outboxes(NodeSpan dsts);
 
   int n_;
 

@@ -26,14 +26,19 @@ Matrix<std::int64_t> transpose_distributed(clique::Network& net, int n,
   // of m are authoritative, and only owned destinations' inboxes are
   // filled — the returned transpose is authoritative on owned rows.
   const clique::NodeSpan own = net.owned();
-  parallel_for(own.begin, std::min(own.end, n), [&](int v) {
+  const int end = std::min(own.end, n);
+  // Work estimate: one word per owned row entry, on either side of the
+  // superstep.
+  const auto rows = static_cast<std::size_t>(std::max(end - own.begin, 0));
+  const std::size_t words = rows * static_cast<std::size_t>(n);
+  parallel_for(own.begin, end, words, [&](int v) {
     for (int u = 0; u < n; ++u) {
       const auto span = net.stage(v, u, 1);
       span[0] = static_cast<clique::Word>(m(v, u));
     }
   });
   net.deliver();
-  parallel_for(own.begin, std::min(own.end, n), [&](int u) {
+  parallel_for(own.begin, end, words, [&](int u) {
     for (int v = 0; v < n; ++v) {
       const auto in = net.inbox(u, v);
       CCA_ASSERT(in.size() == 1);

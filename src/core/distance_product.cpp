@@ -15,6 +15,12 @@ namespace {
 
 constexpr std::int64_t kInf = MinPlusSemiring::kInf;
 
+/// Work estimate of a lift or unpack of an n x n matrix: each entry reads
+/// or writes a one-word distance and a two-word WDist.
+std::size_t lift_work(int n) {
+  return 3 * static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+}
+
 /// Lift S entries to carry their column index as witness. Infinite entries
 /// lift to the EXACT semiring zero {kInf, -1} — not {kInf, j} — so the
 /// sparse engine's pattern scan (and the Auto dispatcher's announcement)
@@ -24,7 +30,7 @@ constexpr std::int64_t kInf = MinPlusSemiring::kInf;
 Matrix<WDist> lift_with_witness(const Matrix<std::int64_t>& m) {
   const int n = m.rows();
   Matrix<WDist> out(n, n);
-  parallel_for(0, n, [&](int i) {
+  parallel_for(0, n, lift_work(n), [&](int i) {
     for (int j = 0; j < n; ++j)
       out(i, j) = {m(i, j), m(i, j) >= kInf ? -1 : j};
   });
@@ -36,7 +42,7 @@ Matrix<WDist> lift_with_witness(const Matrix<std::int64_t>& m) {
 Matrix<WDist> lift_plain(const Matrix<std::int64_t>& m) {
   const int n = m.rows();
   Matrix<WDist> out(n, n);
-  parallel_for(0, n, [&](int i) {
+  parallel_for(0, n, lift_work(n), [&](int i) {
     for (int j = 0; j < n; ++j) out(i, j) = {m(i, j), -1};
   });
   return out;
@@ -46,7 +52,7 @@ Matrix<WDist> lift_plain(const Matrix<std::int64_t>& m) {
 WitnessedProduct unpack_witnessed(const Matrix<WDist>& prod) {
   const int n = prod.rows();
   WitnessedProduct o{Matrix<std::int64_t>(n, n, kInf), Matrix<int>(n, n, -1)};
-  parallel_for(0, n, [&](int i) {
+  parallel_for(0, n, lift_work(n), [&](int i) {
     for (int j = 0; j < n; ++j) {
       o.dist(i, j) = prod(i, j).d >= kInf ? kInf : prod(i, j).d;
       o.witness(i, j) =
@@ -135,12 +141,17 @@ Matrix<std::int64_t> dp_ring_embedded(clique::Network& net,
   const int cap = static_cast<int>(2 * m_bound + 1);
   const PolyRing ring{cap};
   const PolyCodec codec{cap};
+  // Work estimate of an embed or extract pass: n^2 polynomials of `cap`
+  // coefficients.
+  const std::size_t poly_work = static_cast<std::size_t>(n) *
+                                static_cast<std::size_t>(n) *
+                                static_cast<std::size_t>(cap);
 
   // Entry w in {0..M} becomes X^w; everything else becomes 0 (= infinity).
   // Both the lift and the min-degree extraction are node-local row work.
   auto embed = [&](const Matrix<std::int64_t>& src) {
     Matrix<CappedPoly> out(n, n, ring.zero());
-    parallel_for(0, n, [&](int i) {
+    parallel_for(0, n, poly_work, [&](int i) {
       for (int j = 0; j < n; ++j) {
         const auto v = src(i, j);
         if (v >= 0 && v <= m_bound)
@@ -165,7 +176,7 @@ Matrix<std::int64_t> dp_ring_embedded(clique::Network& net,
           : mm_fast_bilinear(net, ring, codec, alg, es, et);
 
   Matrix<std::int64_t> out(n, n, kInf);
-  parallel_for(0, n, [&](int i) {
+  parallel_for(0, n, poly_work, [&](int i) {
     for (int j = 0; j < n; ++j) {
       const int deg = prod(i, j).min_degree();
       if (deg >= 0) out(i, j) = deg;

@@ -204,10 +204,25 @@ FourCycleOutcome detect_4cycle_const(const Graph& g) {
     return std::pair<int, int>{static_cast<int>(lo), static_cast<int>(hi)};
   };
 
+  // Work estimates: Step 1 moves every tile's N(y), Step 2 forwards it
+  // t.size times, and Step 3 forms up to deg(y)^2 2-walks per tile; every
+  // node of Steps 2 and 3 also scans the tile list.
+  std::size_t scatter_words = 0;
+  std::size_t forward_words = 0;
+  std::size_t walks = 0;
+  for (const auto& t : tiles) {
+    const auto dy =
+        static_cast<std::size_t>(deg[static_cast<std::size_t>(t.y)]);
+    scatter_words += dy;
+    forward_words += dy * static_cast<std::size_t>(t.size);
+    walks += dy * dy;
+  }
+  const std::size_t tile_scan = static_cast<std::size_t>(n) * tiles.size();
+
   // Step 1: y scatters chunk i of N(y) to tile-row node A(y)[i] = row0 + i.
   // Each tile has a distinct owner y (the sender), so tiles stage in
   // parallel; chunk words write straight into the staged span.
-  parallel_for(0, static_cast<int>(tiles.size()), [&](int ti) {
+  parallel_for(0, static_cast<int>(tiles.size()), scatter_words, [&](int ti) {
     const auto& t = tiles[static_cast<std::size_t>(ti)];
     const auto nb = sorted_neighbours(t.y);
     for (int i = 0; i < t.size; ++i) {
@@ -234,7 +249,7 @@ FourCycleOutcome detect_4cycle_const(const Graph& g) {
   // a forwards zero-copy from its inbox span, in parallel over senders a.
   // The lease revalidates that invariant at each use under analysis
   // checking (and is a plain span read otherwise).
-  parallel_for(0, n, [&](int a) {
+  parallel_for(0, n, tile_scan + forward_words, [&](int a) {
     for (const auto& t : tiles) {
       if (a < t.row0 || a >= t.row0 + t.size) continue;
       const analysis::InboxLease<clique::Network> words(net, a, t.y);
@@ -248,7 +263,7 @@ FourCycleOutcome detect_4cycle_const(const Graph& g) {
   // Step 3 (local) + final gather: b reassembles N(y) for its tiles, forms
   // W(y,b) = N(y) x {y} x NB(y,b), and routes each 2-walk (x, y, z) to x.
   // Senders b are distinct per iteration, so the loop runs parallel.
-  parallel_for(0, n, [&](int b) {
+  parallel_for(0, n, tile_scan + walks, [&](int b) {
     for (const auto& t : tiles) {
       if (b < t.col0 || b >= t.col0 + t.size) continue;
       // Chunks arrive from a = row0..row0+size-1 in rank order.

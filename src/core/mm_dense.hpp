@@ -182,12 +182,17 @@ template <Semiring S, typename Codec>
   // This rank's node shard: every stage/compute loop below walks only the
   // owned span. In-process this is [0, n) and the loops are unchanged.
   const clique::NodeSpan own = net.owned();
+  // Work estimate of a step that moves every owned node's batch * c2
+  // blocks of c2 entries (Step 1 moves two such sets, Step 2 adds its
+  // c2^3 block multiplies).
+  const std::size_t step_work = static_cast<std::size_t>(own.size()) * batch *
+                                block_entries * block_entries;
 
   // Step 1: node v scatters pieces of its rows S_b[v,*] and T_b[v,*] for
   // every product b, encoding the contiguous row slices straight into one
   // staged group per destination. Senders are independent (one src per
   // iteration), so the loop runs parallel.
-  parallel_for(own.begin, own.end, [&](int v) {
+  parallel_for(own.begin, own.end, 2 * step_work, [&](int v) {
     // S_b[v, u2**] to each u in v1** (same first digit as v).
     for (int tail = 0; tail < c2; ++tail) {
       const int u = d1(v) * c2 + tail;
@@ -216,7 +221,8 @@ template <Semiring S, typename Codec>
   // the worker group; blocks are decoded directly into the assembled
   // matrix rows (sb/tb are reused across b — every row is overwritten).
   std::vector<Matrix<V>> prod(static_cast<std::size_t>(n) * batch);
-  parallel_for(own.begin, own.end, [&](int v) {
+  const std::size_t multiply_work = step_work * (block_entries + 2);
+  parallel_for(own.begin, own.end, multiply_work, [&](int v) {
     Matrix<V> sb(c2, c2, sr.zero());
     Matrix<V> tb(c2, c2, sr.zero());
     for (std::size_t b = 0; b < batch; ++b) {
@@ -242,7 +248,7 @@ template <Semiring S, typename Codec>
 
   // Step 3: node v sends P_b^(v2)[u, v3**] to each u in v1** — one
   // contiguous product row per message block, encoded in place.
-  parallel_for(own.begin, own.end, [&](int v) {
+  parallel_for(own.begin, own.end, step_work, [&](int v) {
     for (int tail = 0; tail < c2; ++tail) {
       const int u = d1(v) * c2 + tail;
       const auto msg = net.stage(v, u, group_words);
@@ -261,7 +267,7 @@ template <Semiring S, typename Codec>
   out.reserve(batch);
   for (std::size_t b = 0; b < batch; ++b)
     out.emplace_back(n, n, sr.zero());
-  parallel_for(own.begin, own.end, [&](int v) {
+  parallel_for(own.begin, own.end, step_work, [&](int v) {
     std::vector<V> piece(block_entries, sr.zero());
     for (int tail = 0; tail < c2; ++tail) {
       const int u = d1(v) * c2 + tail;  // sent P_b^(u2)[v, u3**]
@@ -359,6 +365,21 @@ template <Ring R, typename Codec>
                            static_cast<std::size_t>(bs);
   const auto blk_words = codec.words_for(blk_entries);
 
+  // Work estimates: a redistribution step moves every entry of the B
+  // operands once (all_entries); the local steps add their coefficient
+  // accumulations and the m block products.
+  const std::size_t all_entries =
+      batch * static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  const auto terms = [](const auto& lists) {
+    std::size_t t = 0;
+    for (const auto& l : lists) t += l.size();
+    return t;
+  };
+  const auto node_blocks = batch * static_cast<std::size_t>(n) * blk_entries;
+  const auto product_entries = batch * static_cast<std::size_t>(m) *
+                               static_cast<std::size_t>(big) *
+                               static_cast<std::size_t>(big);
+
   // Node digits (v1, v2, v3) in radices (d, sq, sq/d) and labels (x1, x2).
   auto label_of = [sq](int x1, int x2) { return x1 * sq + x2; };
 
@@ -374,7 +395,7 @@ template <Ring R, typename Codec>
   // staged span (product b's pair starts at word 2b * row_words). The
   // columns for x2 are d contiguous bs-runs, gathered into a per-sender
   // scratch and encoded straight into network memory.
-  parallel_for(0, n, [&](int v) {
+  parallel_for(0, n, 2 * all_entries, [&](int v) {
     const int v2 = (v / bs) % sq;
     std::vector<V> tmp(row_entries, ring.zero());
     for (int x2 = 0; x2 < sq; ++x2) {
@@ -404,7 +425,7 @@ template <Ring R, typename Codec>
   // decodes directly into the local-view row.
   std::vector<Matrix<V>> sloc(static_cast<std::size_t>(n) * batch);
   std::vector<Matrix<V>> tloc(static_cast<std::size_t>(n) * batch);
-  parallel_for(0, n, [&](int u) {
+  parallel_for(0, n, 2 * all_entries, [&](int u) {
     const int x1 = u / sq;
     for (std::size_t b = 0; b < batch; ++b) {
       Matrix<V> sl(sq, sq, ring.zero());
@@ -429,7 +450,9 @@ template <Ring R, typename Codec>
   // multiply-accumulate per coefficient (see scaled_accumulate). Step 3:
   // the B [shat, that] pairs encode into one staged span to node w, for
   // every w in [m].
-  parallel_for(0, n, [&](int u) {
+  const std::size_t combine_work =
+      node_blocks * (terms(alg.alpha) + terms(alg.beta) + 2 * m);
+  parallel_for(0, n, combine_work, [&](int u) {
     std::vector<V> shat(blk_entries, ring.zero());
     std::vector<V> that(blk_entries, ring.zero());
     for (int w = 0; w < m; ++w) {
@@ -461,7 +484,7 @@ template <Ring R, typename Codec>
 
   // Step 4 (local at product nodes): assemble S_b^(w), T_b^(w), multiply.
   std::vector<Matrix<V>> phat(static_cast<std::size_t>(m) * batch);
-  parallel_for(0, m, [&](int w) {
+  parallel_for(0, m, product_entries * (big + 2), [&](int w) {
     std::vector<V> sbuf(blk_entries, ring.zero());
     std::vector<V> tbuf(blk_entries, ring.zero());
     for (std::size_t b = 0; b < batch; ++b) {
@@ -493,7 +516,7 @@ template <Ring R, typename Codec>
 
   // Step 5: node w returns P_b^(w)[x1*, x2*] to label (x1, x2), the B
   // blocks concatenated (product b at word b * blk_words).
-  parallel_for(0, m, [&](int w) {
+  parallel_for(0, m, product_entries, [&](int w) {
     std::vector<V> tmp(blk_entries, ring.zero());
     for (int x1 = 0; x1 < sq; ++x1)
       for (int x2 = 0; x2 < sq; ++x2) {
@@ -518,7 +541,7 @@ template <Ring R, typename Codec>
   // into one flat scratch (m consecutive bs x bs blocks) and each lambda
   // coefficient applies as a single multiply-accumulate.
   std::vector<Matrix<V>> ploc(static_cast<std::size_t>(n) * batch);
-  parallel_for(0, n, [&](int u) {
+  parallel_for(0, n, node_blocks * (m + terms(alg.lambda)), [&](int u) {
     std::vector<V> pieces(static_cast<std::size_t>(m) * blk_entries,
                           ring.zero());
     for (std::size_t b = 0; b < batch; ++b) {
@@ -543,7 +566,7 @@ template <Ring R, typename Codec>
 
   // Step 7: node (x1, x2) sends P_b[r, *x2*] to r for each r in *x1* — the
   // B contiguous local-view rows concatenated, encoded in place.
-  parallel_for(0, sq * sq, [&](int u) {
+  parallel_for(0, sq * sq, all_entries, [&](int u) {
     const int x1 = u / sq;
     for (int r1 = 0; r1 < d; ++r1)
       for (int r3 = 0; r3 < bs; ++r3) {
@@ -564,7 +587,7 @@ template <Ring R, typename Codec>
   out.reserve(batch);
   for (std::size_t b = 0; b < batch; ++b)
     out.emplace_back(n, n, ring.zero());
-  parallel_for(0, n, [&](int r) {
+  parallel_for(0, n, all_entries, [&](int r) {
     const int r2 = (r / bs) % sq;
     std::vector<V> entries(row_entries, ring.zero());
     for (int x2 = 0; x2 < sq; ++x2) {

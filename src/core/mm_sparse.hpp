@@ -235,6 +235,21 @@ mm_semiring_sparse_staged_batch(
   // full-range. Under sharding only the owned output rows are
   // authoritative — see mm_semiring_3d_batch's sharded-execution note.
   const clique::NodeSpan own = net.owned();
+  // Work estimates: the row and column scans touch n entries per owned node
+  // and product; distribute and contribute are sized by the plans' staged
+  // words and triples, this rank's share of them.
+  const auto rows = static_cast<std::size_t>(own.size());
+  const std::size_t scan_work = rows * batch * static_cast<std::size_t>(n);
+  std::size_t distribute_words = 0;
+  std::size_t triples = 0;
+  for (const auto& st : sts) {
+    for (const auto& d : st.distribute)
+      distribute_words += static_cast<std::size_t>(d.words);
+    triples += static_cast<std::size_t>(st.triples);
+  }
+  const auto share = [&](std::size_t total) {
+    return total * rows / static_cast<std::size_t>(n);
+  };
 
   // Gather: every off-diagonal nonzero S_b[i,k] travels to column holder k
   // as a bare value (the row index is the sender id) — except entries of
@@ -248,7 +263,7 @@ mm_semiring_sparse_staged_batch(
   // with the historical "T row k alive" test. Senders own distinct
   // outboxes, so the staging loop is parallel-over-senders; a pair's
   // per-product values concatenate in product order.
-  parallel_for(own.begin, own.end, [&](int i) {
+  parallel_for(own.begin, own.end, scan_work, [&](int i) {
     for (std::size_t b = 0; b < batch; ++b) {
       if (sts[b].trivial) continue;
       for (int k = 0; k < n; ++k) {
@@ -269,7 +284,7 @@ mm_semiring_sparse_staged_batch(
   // them.
   std::vector<std::vector<std::vector<V>>> colvals(
       batch, std::vector<std::vector<V>>(static_cast<std::size_t>(n)));
-  parallel_for(own.begin, own.end, [&](int k) {
+  parallel_for(own.begin, own.end, scan_work, [&](int k) {
     const auto ks = static_cast<std::size_t>(k);
     std::vector<std::size_t> off(static_cast<std::size_t>(n), 0);
     for (std::size_t b = 0; b < batch; ++b) {
@@ -311,7 +326,7 @@ mm_semiring_sparse_staged_batch(
   std::vector<std::vector<std::vector<V>>> trow_val(
       batch, std::vector<std::vector<V>>(static_cast<std::size_t>(n)));
   // Only the holder (owned k) stages or locally multiplies its T row.
-  parallel_for(own.begin, own.end, [&](int k) {
+  parallel_for(own.begin, own.end, scan_work, [&](int k) {
     const auto ks = static_cast<std::size_t>(k);
     for (std::size_t b = 0; b < batch; ++b) {
       if (sts[b].trivial) continue;
@@ -346,7 +361,7 @@ mm_semiring_sparse_staged_batch(
     return static_cast<std::size_t>(sparse_msg_align(
         static_cast<std::int64_t>(w), sparse_contribute_align(n)));
   };
-  parallel_for(own.begin, own.end, [&](int k) {
+  parallel_for(own.begin, own.end, share(distribute_words), [&](int k) {
     const auto ks = static_cast<std::size_t>(k);
     std::vector<Index> aidx;
     for (std::size_t b = 0; b < batch; ++b) {
@@ -388,7 +403,7 @@ mm_semiring_sparse_staged_batch(
   // the message sizes are exactly the structures' value-independent
   // counts). The worker's own row folds locally; every other row ships as
   // [cnt] + SparseCodec block, product b's blocks after product b-1's.
-  parallel_for(own.begin, own.end, [&](int w) {
+  parallel_for(own.begin, own.end, scan_work + share(triples), [&](int w) {
     const auto ws = static_cast<std::size_t>(w);
     std::vector<std::size_t> doff(static_cast<std::size_t>(n), 0);
     // Work items: (a-row id, a-value, intermediate k) triples from the
@@ -520,7 +535,7 @@ mm_semiring_sparse_staged_batch(
   // Fold the delivered contributions into the output rows (distinct row per
   // iteration); each sender's message parses product by product, block
   // membership coming from the structures' sorted contrib lists.
-  parallel_for(own.begin, own.end, [&](int i) {
+  parallel_for(own.begin, own.end, scan_work, [&](int i) {
     std::vector<Index> jbuf;
     std::vector<V> vbuf;
     for (int w = 0; w < n; ++w) {

@@ -81,9 +81,14 @@ Matrix<std::uint8_t> verify_witnesses(clique::Network& net,
   CCA_EXPECTS(p.rows() == n && p.cols() == n);
   CCA_EXPECTS(q.rows() == n && q.cols() == n);
 
+  // Work estimate of a superstep pass: one word per (node, node) pair, three
+  // for the claims.
+  const std::size_t pair_words =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+
   // Superstep 1: transpose T so node v holds column v (node k owns row k).
   // Staging runs parallel over senders — each k owns its outbox.
-  parallel_for(0, n, [&](int k) {
+  parallel_for(0, n, pair_words, [&](int k) {
     for (int v = 0; v < n; ++v) {
       // lint:allow(full-range-staging): owns_all() validated at entry.
       const auto span = net.stage(k, v, 1);
@@ -93,7 +98,7 @@ Matrix<std::uint8_t> verify_witnesses(clique::Network& net,
   net.deliver();
   // Node v's column of T, assembled from the inboxes (distinct rows).
   Matrix<std::int64_t> tcol(n, n, kInf);  // tcol(v, k) = T(k, v)
-  parallel_for(0, n, [&](int v) {
+  parallel_for(0, n, pair_words, [&](int v) {
     for (int k = 0; k < n; ++k) {
       const auto in = net.inbox(v, k);
       CCA_ASSERT(in.size() == 1);
@@ -103,7 +108,7 @@ Matrix<std::uint8_t> verify_witnesses(clique::Network& net,
 
   // Superstep 2: node u ships (q, S[u,q], P[u,v]) to v for every v,
   // written straight into the staged span.
-  parallel_for(0, n, [&](int u) {
+  parallel_for(0, n, 3 * pair_words, [&](int u) {
     for (int v = 0; v < n; ++v) {
       const int w = q(u, v);
       const std::int64_t suw = (w >= 0) ? s(u, w) : kInf;
@@ -119,7 +124,7 @@ Matrix<std::uint8_t> verify_witnesses(clique::Network& net,
   // Node v checks each claim against its T column and replies one bit
   // (sender of the reply is v, so the loop parallelises over v).
   Matrix<std::uint8_t> ok(n, n, 0);
-  parallel_for(0, n, [&](int v) {
+  parallel_for(0, n, 4 * pair_words, [&](int v) {
     for (int u = 0; u < n; ++u) {
       const auto in = net.inbox(v, u);
       CCA_ASSERT(in.size() == 3);
@@ -137,7 +142,7 @@ Matrix<std::uint8_t> verify_witnesses(clique::Network& net,
     }
   });
   net.deliver();
-  parallel_for(0, n, [&](int u) {
+  parallel_for(0, n, pair_words, [&](int u) {
     for (int v = 0; v < n; ++v) {
       const auto in = net.inbox(u, v);
       CCA_ASSERT(in.size() == 1);

@@ -220,7 +220,7 @@ std::atomic<WorkerPool*> g_pool{nullptr};
 
 /// A forked child has only the forking thread, so the parent's pool
 /// threads do not exist there: the child abandons the inherited pool and
-/// starts its own on its first multi-worker call.
+/// starts its own on its first call that fans out.
 void register_fork_reset() {
   const int rc = pthread_atfork(
       [] { g_pool_mu.lock(); }, [] { g_pool_mu.unlock(); },
@@ -231,7 +231,9 @@ void register_fork_reset() {
   CCA_ASSERT(rc == 0);
 }
 
-/// The process pool, started on the first multi-worker call so that
+std::atomic<std::uint64_t> g_dispatches{0};  ///< calls handed to the pool
+
+/// The process pool, started on the first call that fans out, so that
 /// single-worker processes never start a thread.
 WorkerPool& worker_pool() {
   if (WorkerPool* pool = g_pool.load(std::memory_order_acquire)) return *pool;
@@ -250,23 +252,30 @@ WorkerPool& worker_pool() {
 
 namespace detail {
 
-void parallel_for_impl(int begin, int end,
+void parallel_for_impl(int begin, int end, std::size_t work,
                        const std::function<void(int, int)>& chunk) {
   const int count = end - begin;
   if (count <= 0) return;
-  const int workers = std::min(parallel_workers(), count);
+  const int workers =
+      work < kParallelMinWork ? 1 : std::min(parallel_workers(), count);
   const std::uint64_t epoch = next_region_epoch();
-  // A nested call (its enclosing call holds the pool) or a second external
-  // thread finds the pool busy and runs its whole range inline.
+  // Small work runs inline. A nested call (its enclosing call holds the
+  // pool) or a second external thread finds the pool busy and runs its
+  // whole range inline too.
   if (workers > 1) {
     WorkerPool& pool = worker_pool();
     if (pool.try_acquire()) {
+      g_dispatches.fetch_add(1, std::memory_order_relaxed);
       pool.run(begin, end, workers, epoch, chunk);
       return;
     }
   }
   const RegionMark mark(epoch);
   chunk(begin, end);
+}
+
+std::uint64_t pool_dispatches() noexcept {
+  return g_dispatches.load(std::memory_order_relaxed);
 }
 
 }  // namespace detail

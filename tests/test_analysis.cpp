@@ -100,7 +100,7 @@ TEST(AnalysisChecker, DeliverInsideParallelForFaultsTyped) {
   Network net(4);
   net.send(0, 1, 42);
   bool threw = false;
-  parallel_for(0, 1, [&](int) {
+  parallel_for(0, 1, 1, [&](int) {
     try {
       // lint:allow(deliver-in-parallel): the violation under test
       net.deliver();
@@ -124,7 +124,7 @@ TEST(AnalysisChecker, DiscardStagedInsideParallelForFaultsTyped) {
   Network net(4);
   net.send(0, 1, 7);
   bool threw = false;
-  parallel_for(0, 1, [&](int) {
+  parallel_for(0, 1, 1, [&](int) {
     try {
       // lint:allow(deliver-in-parallel): the violation under test
       net.discard_staged();
@@ -157,8 +157,9 @@ TEST(AnalysisChecker, CrossSourceStagingFaultsAtNextDeliver) {
   Network net(8);
   std::mutex mu;
   // 64 iterations across >= 2 workers, all staging from src 0: at least
-  // one worker sees another's claim on the source slot.
-  parallel_for(0, 64, [&](int i) {
+  // one worker sees another's claim on the source slot. The estimate is at
+  // the inline threshold so the range fans out.
+  parallel_for(0, 64, kParallelMinWork, [&](int i) {
     const std::lock_guard<std::mutex> lock(mu);
     // lint:allow(parallel-staging-src): the violation under test
     net.send(0, 1 + (i % 7), static_cast<Word>(i));
@@ -178,7 +179,7 @@ TEST(AnalysisChecker, DistinctSourceParallelStagingIsClean) {
   CheckedThrowScope scope;
   Network net(8);
   // The documented-legal pattern: every iteration stages from its own src.
-  parallel_for(0, 8, [&](int src) {
+  parallel_for(0, 8, kParallelMinWork, [&](int src) {
     for (int dst = 0; dst < 8; ++dst)
       if (dst != src) net.send(src, dst, static_cast<Word>(src * 8 + dst));
   });
@@ -194,7 +195,7 @@ TEST(AnalysisChecker, SameSourceAcrossSuccessiveRegionsIsClean) {
   // Distinct parallel_for calls may repartition sources over different
   // workers; only SAME-epoch conflicts violate the contract.
   for (int round = 0; round < 3; ++round)
-    parallel_for(0, 4, [&](int src) {
+    parallel_for(0, 4, kParallelMinWork, [&](int src) {
       net.send(src, (src + 1) % 4, static_cast<Word>(round));
     });
   EXPECT_FALSE(analysis::has_pending());

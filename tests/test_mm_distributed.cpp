@@ -636,6 +636,23 @@ TEST(SocketP2Engines, UndirectedGirthMatchesArenaOracle) {
   }
 }
 
+TEST(SocketP2Engines, UndirectedGirthDenseTriangleFreeRaisesTypedError) {
+  // A dense triangle-free input takes the dense path to k = 4, where
+  // detect_4cycle_const (n >= 32) still needs full ownership: every rank
+  // raises the typed error within the watchdog instead of hanging or
+  // aborting. Sharding the Lemma 12 tiles would make this run.
+  const Graph g = complete_bipartite(16, 16);
+  const auto oracle = girth_undirected_cc(g, 5);
+  ASSERT_FALSE(oracle.used_sparse_path);
+  ASSERT_EQ(oracle.girth, 4);
+  const auto meshes = socket_meshes(2);
+  run_ranks(2, [&](int r) {
+    clique::TransportScope scope(clique::SocketTransport::factory(meshes[r]));
+    EXPECT_THROW((void)girth_undirected_cc(g, 5), InvalidArgument)
+        << "rank " << r;
+  });
+}
+
 TEST(SocketP2Engines, DolevRaisesTypedError) {
   // The Dolev et al. baseline stages from and reads every node; under
   // sharding it refuses with a typed error on every rank instead of

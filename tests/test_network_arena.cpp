@@ -90,7 +90,7 @@ TEST(NetworkArena, RandomizedEquivalenceWithPerPairModel) {
   // Drive the arena transport with random interleaved traffic and compare
   // every inbox and the whole DeliverySummary against a straightforward
   // per-pair queue model. The n = 40 supersteps alternate between both
-  // sides of kWideDeliverWords on one transport, so the inline and the
+  // sides of kParallelMinWork on one transport, so the inline and the
   // parallel delivery passes (and a reused, never zero-filled arena) are
   // both held to the model. Pairs with (src + 2 dst) % 5 == 0 stay empty
   // (their ops become self-sends), and source 0 opens every superstep with
@@ -141,7 +141,7 @@ TEST(NetworkArena, RandomizedEquivalenceWithPerPairModel) {
         for (auto& w : block) w = rng.next();
         stage(src, dst, block);
       }
-      const bool wide = staged >= ArenaTransport::kWideDeliverWords;
+      const bool wide = staged >= kParallelMinWork;
       (wide ? covered_wide : covered_inline) = true;
 
       DeliverySummary want;
@@ -250,7 +250,8 @@ TEST(NetworkArena, ParallelStagingFromAllSourcesMatchesSerial) {
   // parallel region is race-free and yields the identical arena layout,
   // because per-source append order is unchanged. Each source writes an
   // interleaved segment-run pattern (alternating destinations, so segment
-  // runs break and resume) to make ordering bugs visible.
+  // runs break and resume) to make ordering bugs visible. The staging loop
+  // passes the inline threshold as its estimate so it runs on the pool.
   const int n = 16;
   const int rounds = 8;
   auto pattern = [&](int src, int round, int dst) {
@@ -269,7 +270,7 @@ TEST(NetworkArena, ParallelStagingFromAllSourcesMatchesSerial) {
     net.deliver();
   };
   auto drive_parallel = [&](Network& net) {
-    parallel_for(0, n, [&](int src) {
+    parallel_for(0, n, kParallelMinWork, [&](int src) {
       for (int round = 0; round < rounds; ++round)
         for (int dst = 0; dst < n; ++dst) {
           if ((src + round + dst) % 3 == 0) continue;

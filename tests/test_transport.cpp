@@ -369,8 +369,8 @@ TEST(SocketTransportP3, DeliverCrossesEveryRankPair) {
   // Odd P through the one-frame-per-peer deliver: every node sends to
   // every other node, so every rank pair carries payload both ways. The
   // second superstep stages (src + 1) * 4096 words per pair, so every rank
-  // stages more than ArenaTransport::kWideDeliverWords and runs the wide
-  // delivery passes over its owned span.
+  // stages more than cca::kParallelMinWork words and fans the delivery
+  // passes out over its owned span.
   const int n = 7;
   const auto m = socket_meshes(3);
   std::vector<std::unique_ptr<SocketTransport>> ts;
